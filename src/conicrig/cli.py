@@ -252,7 +252,8 @@ def cmd_check(args) -> int:
     if d == 1:
         verdict = is_rigid_1d(fw)
         required = s_conic(n, 1)
-        report = numeric_rank(conic_rigidity_matrix(fw), rel_tol=args.tol)
+        matrix = conic_rigidity_matrix(fw).matrix
+        report = numeric_rank(matrix, rel_tol=args.tol)
         agree = verdict.rigid == (report.rank == required)
         print(f"increasing shadow components: {len(verdict.plus_components)}")
         print(f"decreasing shadow components: {len(verdict.minus_components)}")
@@ -265,7 +266,7 @@ def cmd_check(args) -> int:
             return 0
         q = flex_witness_1d(fw)
         assert q is not None
-        residual = float(np.linalg.norm(conic_rigidity_matrix(fw).matrix @ q))
+        residual = float(np.linalg.norm(matrix @ q))
         _print_flex(ids, q, n, 1)
         print(f"constraint residual of the flex: {residual:.3e}")
         return 1
@@ -285,7 +286,7 @@ def cmd_check(args) -> int:
     print(f"verdict: {'rigid' if verdict.rigid else 'flexible'}")
     if verdict.rigid:
         return 0
-    q = nontrivial_flex(fw, rel_tol=args.tol)
+    q = nontrivial_flex(fw, rel_tol=args.tol, kernel=report.kernel)
     if q is not None:
         _print_flex(ids, q, n, d)
     return 1

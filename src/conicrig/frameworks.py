@@ -9,11 +9,28 @@ directions but remembers which pairs carry both arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .graphs import ConicGraph, DirectedGraph, EuclideanGraph
+
+
+def _first_coincident_pair(pos: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first (u, w), u < w, in lexicographic order whose rows compare
+    equal as floats (so -0.0 == 0.0 and a row holding NaN matches none).
+
+    A stable sort puts equal rows next to each other in index order, so
+    the answer is the adjacent pair whose left row index is smallest.
+    """
+    n, d = pos.shape
+    order = np.lexsort(pos.T) if d else np.arange(n)
+    rows = pos[order]
+    same = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
+    if same.size == 0:
+        return None
+    i = same[np.argmin(order[same])]
+    return int(order[i]), int(order[i + 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,11 +47,10 @@ class Configuration:
             raise ValueError("positions must be an (n, d) array")
         if bias.shape != (pos.shape[0],):
             raise ValueError("biases must be a length-n vector")
-        n = pos.shape[0]
-        for u in range(n):
-            for w in range(u + 1, n):
-                if np.array_equal(pos[u], pos[w]):
-                    raise ValueError(f"coincident positions at vertices {u} and {w}")
+        coincident = _first_coincident_pair(pos)
+        if coincident is not None:
+            u, w = coincident
+            raise ValueError(f"coincident positions at vertices {u} and {w}")
         pos.setflags(write=False)
         bias.setflags(write=False)
         object.__setattr__(self, "positions", pos)

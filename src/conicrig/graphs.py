@@ -218,8 +218,9 @@ def find_cycle(g: EuclideanGraph) -> Optional[list[Pair]]:
 
 def incidence_transpose(dg: DirectedGraph) -> np.ndarray:
     """Arc-by-vertex matrix: row of arc (u, w) has -1 at u and +1 at w."""
+    arcs = np.array(dg.arcs, dtype=np.intp).reshape(-1, 2)
+    rows = np.arange(dg.m)
     b = np.zeros((dg.m, dg.n))
-    for i, (u, w) in enumerate(dg.arcs):
-        b[i, u] = -1.0
-        b[i, w] = 1.0
+    b[rows, arcs[:, 0]] = -1.0
+    b[rows, arcs[:, 1]] = 1.0
     return b

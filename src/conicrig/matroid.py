@@ -108,16 +108,6 @@ class RigidityOracle:
         return self.conic_rank(cg) == cg.edge_count
 
 
-def is_independent_euclidean(
-    edges: Iterable[Sequence[int]], oracle: RigidityOracle
-) -> bool:
-    return oracle.is_independent(edges)
-
-
-def is_independent_conic(cg: ConicGraph, oracle: RigidityOracle) -> bool:
-    return oracle.conic_independent(cg)
-
-
 def extend_to_minimally_rigid(
     seed_edges: Iterable[Sequence[int]],
     pool_edges: Iterable[Sequence[int]],

@@ -51,6 +51,8 @@ class RankReport:
     trials: int = 1
     gap_ratio: float = float("inf")
     ill_conditioned: bool = False
+    # orthonormal kernel basis as columns, when numeric_rank was asked for it
+    kernel: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,23 +77,33 @@ def _as_pairs(edges: EdgeInput) -> tuple[Pair, ...]:
     return tuple((int(u), int(w)) for u, w in edges)
 
 
+def _ends(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
+    """Tail and head vertex of every pair, as index arrays."""
+    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
+
+
 def euclidean_rigidity_matrix(edges: EdgeInput, p: Configuration) -> RigidityMatrix:
     """Distance-constraint matrix, one row per pair, d*n columns."""
     pairs = _as_pairs(edges)
     n, d = p.n, p.d
+    u, w = _ends(pairs)
+    diff = p.positions[u] - p.positions[w]
+    rows = np.arange(len(pairs))[:, None]
+    block = np.arange(d)
     m = np.zeros((len(pairs), d * n))
-    for i, (u, w) in enumerate(pairs):
-        diff = p.positions[u] - p.positions[w]
-        m[i, d * u : d * (u + 1)] = diff
-        m[i, d * w : d * (w + 1)] = -diff
+    m[rows, d * u[:, None] + block] = diff
+    m[rows, d * w[:, None] + block] = -diff
     return RigidityMatrix(m, pairs, n, d)
 
 
 def bias_matrix(dg: DirectedGraph, p: Configuration) -> np.ndarray:
     """Bias columns: the arc-distance diagonal times the signed incidence."""
-    dists = np.array(
-        [np.linalg.norm(p.positions[u] - p.positions[w]) for u, w in dg.arcs]
-    )
+    u, w = _ends(dg.arcs)
+    diff = p.positions[u] - p.positions[w]
+    # row-wise diff . diff through the dot kernel np.linalg.norm uses on one
+    # vector, so each distance is the per-arc norm to the last bit
+    dists = np.sqrt((diff[:, None, :] @ diff[:, :, None]).reshape(-1))
     return dists[:, None] * incidence_transpose(dg)
 
 
@@ -103,18 +115,30 @@ def conic_rigidity_matrix(fw: ConicFramework) -> RigidityMatrix:
 
 
 def numeric_rank(
-    m: Union[np.ndarray, RigidityMatrix], rel_tol: float = 1e-10
+    m: Union[np.ndarray, RigidityMatrix], rel_tol: float = 1e-10, kernel: bool = False
 ) -> RankReport:
     """SVD rank with cutoff rel_tol * sigma_max * max(rows, cols).
 
     The report keeps the spectrum and flags the decision as
     ill-conditioned when the gap between the smallest kept and largest
-    dropped singular value is under three orders of magnitude.
+    dropped singular value is under three orders of magnitude. With
+    kernel=True the same single SVD also yields an orthonormal basis of
+    the right kernel (the singular vectors past the rank), reported as
+    a copy so the full factor is freed.
     """
     a = m.matrix if isinstance(m, RigidityMatrix) else np.asarray(m, dtype=float)
+    return _svd_rank(a, rel_tol, kernel)
+
+
+def _svd_rank(a: np.ndarray, rel_tol: float, kernel: bool) -> RankReport:
+    # nontrivial_flex calls this directly: looking for a flex is not a rank test
     if a.size == 0:
-        return RankReport(0, (), 0.0)
-    sigma = np.linalg.svd(a, compute_uv=False)
+        null = np.eye(a.shape[1]) if kernel else None
+        return RankReport(0, (), 0.0, kernel=null)
+    if kernel:
+        _, sigma, vt = np.linalg.svd(a, full_matrices=True)
+    else:
+        sigma = np.linalg.svd(a, compute_uv=False)
     tol = rel_tol * float(sigma[0]) * max(a.shape)
     rank = int(np.sum(sigma > tol))
     if rank == 0:
@@ -131,6 +155,7 @@ def numeric_rank(
         trials=1,
         gap_ratio=gap,
         ill_conditioned=gap < 1e3,
+        kernel=vt[rank:].T.copy() if kernel else None,
     )
 
 
@@ -194,9 +219,12 @@ def is_infinitesimally_rigid(
     generic configurations rigidity is equivalent to every admissible
     velocity being trivial.
     """
-    m = conic_rigidity_matrix(fw)
-    report = numeric_rank(m, rel_tol=policy.rel_tol)
     required = s_conic(fw.n, fw.d)
+    # with fewer arcs than the required rank the framework is flexible and
+    # the next question is its flex, so the one SVD keeps the kernel too
+    report = numeric_rank(
+        conic_rigidity_matrix(fw), rel_tol=policy.rel_tol, kernel=fw.graph.m < required
+    )
     kernel_dim = (fw.d + 1) * fw.n - report.rank
     trivial_dim = trivial_space_basis(fw.config).shape[1]
     return RigidityVerdict(
@@ -209,20 +237,18 @@ def is_infinitesimally_rigid(
 
 
 def nontrivial_flex(
-    fw: ConicFramework, rel_tol: float = 1e-10
+    fw: ConicFramework, rel_tol: float = 1e-10, kernel: Optional[np.ndarray] = None
 ) -> Optional[np.ndarray]:
     """A unit admissible velocity orthogonal to the trivial space, or
-    None when no such direction exists beyond tolerance."""
-    m = conic_rigidity_matrix(fw)
-    a = m.matrix
-    cols = (fw.d + 1) * fw.n
-    if a.shape[0] == 0:
-        null = np.eye(cols)
-    else:
-        _, sigma, vt = np.linalg.svd(a, full_matrices=True)
-        tol = rel_tol * float(sigma[0]) * max(a.shape) if sigma.size else 0.0
-        rank = int(np.sum(sigma > tol))
-        null = vt[rank:].T  # orthonormal kernel basis
+    None when no such direction exists beyond tolerance.
+
+    kernel is an orthonormal kernel basis of the constraint matrix, as
+    the report of is_infinitesimally_rigid carries it for frameworks
+    short of arcs; without one the matrix is built and factored here.
+    """
+    null = kernel
+    if null is None:
+        null = _svd_rank(conic_rigidity_matrix(fw).matrix, rel_tol, kernel=True).kernel
     if null.shape[1] == 0:
         return None
     t = trivial_space_basis(fw.config)

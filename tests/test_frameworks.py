@@ -138,3 +138,35 @@ def test_random_generic_configuration_deterministic():
     assert a != c
     assert a.positions.shape == (6, 3)
     assert (0 <= a.positions).all() and (a.positions < 1).all()
+
+
+def _coincident_pair(positions):
+    with pytest.raises(ValueError) as info:
+        Configuration(positions, np.zeros(len(positions)))
+    return str(info.value)
+
+
+def test_coincidence_uses_float_equality():
+    # -0.0 == 0.0, so vertices 0 and 2 coincide
+    msg = _coincident_pair([[0.0, 0.0], [1.0, 1.0], [-0.0, 0.0]])
+    assert msg == "coincident positions at vertices 0 and 2"
+    # a NaN row equals nothing, not even an identical NaN row
+    nan = float("nan")
+    Configuration([[nan, 0.0], [nan, 0.0], [0.0, nan], [0.0, 0.0]], np.zeros(4))
+    Configuration([[1.0, 2.0]], [0.0])
+
+
+def test_coincidence_reports_the_first_pair():
+    # pairs (1, 4) and (2, 3) coincide; (u, w) order puts (1, 4) first
+    msg = _coincident_pair([[0.0, 0.0], [5.0, 5.0], [2.0, 2.0], [2.0, 2.0], [5.0, 5.0]])
+    assert msg == "coincident positions at vertices 1 and 4"
+    # in a triple the two lowest indices are named
+    msg = _coincident_pair([[3.0], [1.0], [3.0], [1.0], [3.0]])
+    assert msg == "coincident positions at vertices 0 and 2"
+
+
+def test_coincidence_at_scale():
+    positions = np.random.default_rng(3).random((5000, 2))
+    positions[-1] = positions[1234]
+    msg = _coincident_pair(positions)
+    assert msg == "coincident positions at vertices 1234 and 4999"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from conicrig import (
     s_euclidean,
     trivial_space_basis,
 )
+from conicrig import cli
 from conicrig.flexcurves import make_hyperbola_framework, make_pinned_framework
 from conicrig.rigidity import bias_matrix
 from oracles import exact_rank
@@ -151,3 +154,96 @@ def test_rank_report_flags_tiny_gaps():
     clean = numeric_rank(np.diag([1.0, 0.5]), rel_tol=1e-10)
     assert clean.rank == 2
     assert not clean.ill_conditioned
+
+
+def _loop_matrices(arcs, p):
+    # per-arc reference for the spatial blocks and the bias columns
+    n, d = p.n, p.d
+    spatial = np.zeros((len(arcs), d * n))
+    bias = np.zeros((len(arcs), n))
+    for i, (u, w) in enumerate(arcs):
+        diff = p.positions[u] - p.positions[w]
+        spatial[i, d * u : d * (u + 1)] = diff
+        spatial[i, d * w : d * (w + 1)] = -diff
+        dist = np.linalg.norm(diff)
+        bias[i, u] = -dist
+        bias[i, w] = dist
+    return spatial, bias
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matrices_match_the_per_arc_loop(d):
+    rng = np.random.default_rng(70 + d)
+    n = 9
+    p = Configuration(rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, (n, 1)),
+                      rng.random(n))
+    ordered = [(u, w) for u in range(n) for w in range(n) if u != w]
+    picked = [ordered[i] for i in rng.choice(len(ordered), size=30, replace=False)]
+    # some pairs carry both arcs
+    arcs = picked + [(w, u) for u, w in picked[:5] if (w, u) not in picked]
+    for dg in (DirectedGraph(n, arcs), DirectedGraph(n, [])):
+        spatial, bias = _loop_matrices(dg.arcs, p)
+        assert np.array_equal(bias_matrix(dg, p), bias)
+        assert np.array_equal(euclidean_rigidity_matrix(dg, p).matrix, spatial)
+        assert np.array_equal(conic_rigidity_matrix(ConicFramework(dg, p)).matrix,
+                              np.hstack([spatial, bias]))
+    # the distance matrix also takes a plain pair list, repeats included
+    repeated = arcs + arcs[:3]
+    spatial, _ = _loop_matrices(repeated, p)
+    me = euclidean_rigidity_matrix(repeated, p)
+    assert np.array_equal(me.matrix, spatial)
+    assert me.rows == tuple(repeated)
+    assert euclidean_rigidity_matrix([], p).matrix.shape == (0, d * n)
+
+
+def _framework_file(tmp_path, name, fw):
+    ff = cli.FrameworkFile(tuple(str(v) for v in range(fw.n)), fw)
+    path = tmp_path / name
+    path.write_text(json.dumps(cli.framework_file_dict(ff)))
+    return str(path), cli.load_input_file(str(path)).framework
+
+
+def _short_framework_file(tmp_path, n, d, seed):
+    # one arc short of the required rank: flexible by count
+    rng = np.random.default_rng(seed)
+    ordered = [(u, w) for u in range(n) for w in range(n) if u != w]
+    arcs = [ordered[i] for i in rng.choice(len(ordered), s_conic(n, d) - 1, replace=False)]
+    fw = ConicFramework(DirectedGraph(n, arcs), random_generic_configuration(n, d, seed))
+    return _framework_file(tmp_path, f"short{n}_{d}.json", fw)
+
+
+@pytest.mark.parametrize("n,d", [(9, 2), (8, 3)])
+def test_check_flex_reuses_the_rank_factorization(tmp_path, monkeypatch, n, d):
+    path, fw = _short_framework_file(tmp_path, n, d, seed=n + d)
+    printed = []
+    monkeypatch.setattr(cli, "_print_flex", lambda ids, q, n, d: printed.append(q))
+    assert cli.main(["check", path]) == 1
+    (q,) = printed
+    alone = nontrivial_flex(fw)
+    assert np.max(np.abs(q - alone)) < 1e-8
+    report = is_infinitesimally_rigid(fw).report
+    assert np.linalg.norm(conic_rigidity_matrix(fw).matrix @ q) <= report.tolerance_used
+    assert np.max(np.abs(trivial_space_basis(fw.config).T @ q)) < 1e-8
+
+
+def test_check_takes_one_svd_of_the_constraint_matrix(tmp_path, monkeypatch):
+    real_svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+
+    path, fw = _short_framework_file(tmp_path, 9, 2, seed=4)
+    shape = (fw.graph.m, 3 * fw.n)
+    assert cli.main(["check", path]) == 1
+    assert [kw for s, kw in calls if s == shape] == [{"full_matrices": True}]
+
+    calls.clear()
+    complete = DirectedGraph(fw.n, [(u, w) for u in range(fw.n) for w in range(fw.n) if u != w])
+    path, rigid = _framework_file(tmp_path, "complete.json", ConicFramework(complete, fw.config))
+    assert cli.main(["check", path]) == 0
+    shape = (rigid.graph.m, 3 * rigid.n)
+    assert [kw for s, kw in calls if s == shape] == [{"compute_uv": False}]
