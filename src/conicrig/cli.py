@@ -286,7 +286,7 @@ def cmd_check(args) -> int:
     print(f"verdict: {'rigid' if verdict.rigid else 'flexible'}")
     if verdict.rigid:
         return 0
-    q = nontrivial_flex(fw, rel_tol=args.tol, kernel=report.kernel)
+    q = nontrivial_flex(fw, rel_tol=args.tol, verdict=verdict)
     if q is not None:
         _print_flex(ids, q, n, d)
     return 1

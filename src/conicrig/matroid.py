@@ -10,7 +10,6 @@ queries are always numeric. Queries are memoized.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Optional, Sequence
 
 from .frameworks import ConicFramework, random_generic_configuration, orient
@@ -55,7 +54,6 @@ class RigidityOracle:
             random_generic_configuration(self.n, self.d, policy.base_seed + i)
             for i in range(policy.trials)
         ]
-        self._lock = threading.Lock()
         self._euclidean_cache: dict[tuple[Pair, ...], int] = {}
         self._conic_cache: dict[tuple[tuple[Pair, ...], tuple[Pair, ...]], int] = {}
 
@@ -63,9 +61,8 @@ class RigidityOracle:
 
     def euclidean_rank(self, edges: Iterable[Sequence[int]]) -> int:
         key = _canon(edges)
-        with self._lock:
-            if key in self._euclidean_cache:
-                return self._euclidean_cache[key]
+        if key in self._euclidean_cache:
+            return self._euclidean_cache[key]
         if self.backend == "pebble":
             state = PebbleState(self.n)
             rank = state.insert_all(key)
@@ -76,8 +73,7 @@ class RigidityOracle:
                 ).rank
                 for p in self._configs
             )
-        with self._lock:
-            self._euclidean_cache[key] = rank
+        self._euclidean_cache[key] = rank
         return rank
 
     def is_independent(self, edges: Iterable[Sequence[int]]) -> bool:
@@ -90,9 +86,8 @@ class RigidityOracle:
         if cg.n != self.n:
             raise ValueError("vertex count mismatch")
         key = (cg.simple_edges, cg.double_edges)
-        with self._lock:
-            if key in self._conic_cache:
-                return self._conic_cache[key]
+        if key in self._conic_cache:
+            return self._conic_cache[key]
         dg = orient(cg)
         rank = max(
             numeric_rank(
@@ -100,8 +95,7 @@ class RigidityOracle:
             ).rank
             for p in self._configs
         )
-        with self._lock:
-            self._conic_cache[key] = rank
+        self._conic_cache[key] = rank
         return rank
 
     def conic_independent(self, cg: ConicGraph) -> bool:

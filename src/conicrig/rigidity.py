@@ -51,8 +51,6 @@ class RankReport:
     trials: int = 1
     gap_ratio: float = float("inf")
     ill_conditioned: bool = False
-    # orthonormal kernel basis as columns, when numeric_rank was asked for it
-    kernel: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,32 +113,20 @@ def conic_rigidity_matrix(fw: ConicFramework) -> RigidityMatrix:
 
 
 def numeric_rank(
-    m: Union[np.ndarray, RigidityMatrix], rel_tol: float = 1e-10, kernel: bool = False
+    m: Union[np.ndarray, RigidityMatrix], rel_tol: float = 1e-10
 ) -> RankReport:
     """SVD rank with cutoff rel_tol * sigma_max * max(rows, cols).
 
-    The report keeps the spectrum and flags the decision as
-    ill-conditioned when the gap between the smallest kept and largest
-    dropped singular value is under three orders of magnitude. With
-    kernel=True the same single SVD also yields an orthonormal basis of
-    the right kernel (the singular vectors past the rank), reported as
-    a copy so the full factor is freed.
+    One values-only SVD. The report keeps the spectrum and flags the
+    decision as ill-conditioned when the gap between the smallest kept
+    and largest dropped singular value is under three orders of
+    magnitude.
     """
     a = m.matrix if isinstance(m, RigidityMatrix) else np.asarray(m, dtype=float)
-    return _svd_rank(a, rel_tol, kernel)
-
-
-def _svd_rank(a: np.ndarray, rel_tol: float, kernel: bool) -> RankReport:
-    # nontrivial_flex calls this directly: looking for a flex is not a rank test
     if a.size == 0:
-        null = np.eye(a.shape[1]) if kernel else None
-        return RankReport(0, (), 0.0, kernel=null)
-    if kernel:
-        _, sigma, vt = np.linalg.svd(a, full_matrices=True)
-    else:
-        sigma = np.linalg.svd(a, compute_uv=False)
-    tol = rel_tol * float(sigma[0]) * max(a.shape)
-    rank = int(np.sum(sigma > tol))
+        return RankReport(0, (), 0.0)
+    sigma = np.linalg.svd(a, compute_uv=False)
+    tol, rank = _cutoff(sigma, a.shape, rel_tol)
     if rank == 0:
         gap = float("inf")
     elif rank == len(sigma):
@@ -155,8 +141,15 @@ def _svd_rank(a: np.ndarray, rel_tol: float, kernel: bool) -> RankReport:
         trials=1,
         gap_ratio=gap,
         ill_conditioned=gap < 1e3,
-        kernel=vt[rank:].T.copy() if kernel else None,
     )
+
+
+def _cutoff(sigma: np.ndarray, shape: tuple[int, ...], rel_tol: float) -> tuple[float, int]:
+    """The rank cutoff for a descending spectrum, and the count above it."""
+    if sigma.size == 0:
+        return 0.0, 0
+    tol = rel_tol * float(sigma[0]) * max(shape)
+    return tol, int(np.sum(sigma > tol))
 
 
 def _orthonormal_columns(
@@ -206,7 +199,13 @@ class RigidityVerdict:
     report: RankReport
     required_rank: int
     kernel_dim: int
-    trivial_dim: int
+    # what the verdict was computed from, so nontrivial_flex need not redo it
+    matrix: RigidityMatrix = field(compare=False, repr=False)
+    trivial_basis: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def trivial_dim(self) -> int:
+        return self.trivial_basis.shape[1]
 
 
 def is_infinitesimally_rigid(
@@ -219,39 +218,48 @@ def is_infinitesimally_rigid(
     generic configurations rigidity is equivalent to every admissible
     velocity being trivial.
     """
+    matrix = conic_rigidity_matrix(fw)
+    report = numeric_rank(matrix, rel_tol=policy.rel_tol)
     required = s_conic(fw.n, fw.d)
-    # with fewer arcs than the required rank the framework is flexible and
-    # the next question is its flex, so the one SVD keeps the kernel too
-    report = numeric_rank(
-        conic_rigidity_matrix(fw), rel_tol=policy.rel_tol, kernel=fw.graph.m < required
-    )
-    kernel_dim = (fw.d + 1) * fw.n - report.rank
-    trivial_dim = trivial_space_basis(fw.config).shape[1]
     return RigidityVerdict(
         rigid=report.rank == required,
         report=report,
         required_rank=required,
-        kernel_dim=kernel_dim,
-        trivial_dim=trivial_dim,
+        kernel_dim=(fw.d + 1) * fw.n - report.rank,
+        matrix=matrix,
+        trivial_basis=trivial_space_basis(fw.config),
     )
 
 
 def nontrivial_flex(
-    fw: ConicFramework, rel_tol: float = 1e-10, kernel: Optional[np.ndarray] = None
+    fw: ConicFramework, rel_tol: float = 1e-10, verdict: Optional[RigidityVerdict] = None
 ) -> Optional[np.ndarray]:
     """A unit admissible velocity orthogonal to the trivial space, or
     None when no such direction exists beyond tolerance.
 
-    kernel is an orthonormal kernel basis of the constraint matrix, as
-    the report of is_infinitesimally_rigid carries it for frameworks
-    short of arcs; without one the matrix is built and factored here.
+    A framework with fewer arcs than s_conic(n, d) is flexible by count,
+    and its kernel is taken from one complete QR of the transposed
+    constraint matrix: the columns past the arc count span the
+    complement of the row space, orthogonal to every row whatever the
+    numeric rank, and they outnumber the trivial motions, so such a
+    framework always has a flex. Any other framework takes a full SVD
+    and keeps the right singular vectors past the rank cutoff.
+
+    verdict is is_infinitesimally_rigid's result for fw; its matrix and
+    trivial basis are reused. Without one both are computed here.
     """
-    null = kernel
-    if null is None:
-        null = _svd_rank(conic_rigidity_matrix(fw).matrix, rel_tol, kernel=True).kernel
+    if verdict is None:
+        a = conic_rigidity_matrix(fw).matrix
+        t = trivial_space_basis(fw.config)
+    else:
+        a, t = verdict.matrix.matrix, verdict.trivial_basis
+    if fw.graph.m < s_conic(fw.n, fw.d):
+        null = np.linalg.qr(a.T, mode="complete")[0][:, a.shape[0] :]
+    else:
+        _, sigma, vt = np.linalg.svd(a, full_matrices=True)
+        null = vt[_cutoff(sigma, a.shape, rel_tol)[1] :].T
     if null.shape[1] == 0:
         return None
-    t = trivial_space_basis(fw.config)
     resid = null - t @ (t.T @ null)
     q = _orthonormal_columns(resid, abs_tol=1e-8)
     if q.shape[1] == 0:

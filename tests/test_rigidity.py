@@ -21,7 +21,7 @@ from conicrig import (
     s_euclidean,
     trivial_space_basis,
 )
-from conicrig import cli
+from conicrig import cli, rigidity
 from conicrig.flexcurves import make_hyperbola_framework, make_pinned_framework
 from conicrig.rigidity import bias_matrix
 from oracles import exact_rank
@@ -226,24 +226,118 @@ def test_check_flex_reuses_the_rank_factorization(tmp_path, monkeypatch, n, d):
     assert np.max(np.abs(trivial_space_basis(fw.config).T @ q)) < 1e-8
 
 
-def test_check_takes_one_svd_of_the_constraint_matrix(tmp_path, monkeypatch):
-    real_svd = np.linalg.svd
-    calls = []
+def _count_factorizations(monkeypatch):
+    # every SVD and QR, with its shape and options, and every matrix build
+    # and trivial basis the rigidity layer makes
+    calls = {"svd": [], "qr": [], "build": 0, "trivial": 0}
+    real_svd, real_qr = np.linalg.svd, np.linalg.qr
+    real_build, real_trivial = rigidity.conic_rigidity_matrix, rigidity.trivial_space_basis
 
-    def counting_svd(a, *args, **kwargs):
-        calls.append((np.shape(a), kwargs))
+    def svd(a, *args, **kwargs):
+        calls["svd"].append((np.shape(a), kwargs))
         return real_svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    def qr(a, *args, **kwargs):
+        calls["qr"].append((np.shape(a), kwargs))
+        return real_qr(a, *args, **kwargs)
 
+    def build(fw):
+        calls["build"] += 1
+        return real_build(fw)
+
+    def trivial(p):
+        calls["trivial"] += 1
+        return real_trivial(p)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    monkeypatch.setattr(rigidity, "conic_rigidity_matrix", build)
+    monkeypatch.setattr(rigidity, "trivial_space_basis", trivial)
+    return calls
+
+
+def test_check_takes_one_svd_of_the_constraint_matrix(tmp_path, monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+
+    # short of arcs: one values-only SVD for the rank, one QR for the flex
     path, fw = _short_framework_file(tmp_path, 9, 2, seed=4)
     shape = (fw.graph.m, 3 * fw.n)
     assert cli.main(["check", path]) == 1
-    assert [kw for s, kw in calls if s == shape] == [{"full_matrices": True}]
+    assert [kw for s, kw in calls["svd"] if s == shape] == [{"compute_uv": False}]
+    assert calls["qr"] == [(shape[::-1], {"mode": "complete"})]
+    assert calls["build"] == calls["trivial"] == 1
 
-    calls.clear()
+    # rigid: the values-only SVD alone
+    calls.update(svd=[], qr=[], build=0, trivial=0)
     complete = DirectedGraph(fw.n, [(u, w) for u in range(fw.n) for w in range(fw.n) if u != w])
     path, rigid = _framework_file(tmp_path, "complete.json", ConicFramework(complete, fw.config))
     assert cli.main(["check", path]) == 0
     shape = (rigid.graph.m, 3 * rigid.n)
-    assert [kw for s, kw in calls if s == shape] == [{"compute_uv": False}]
+    assert [kw for s, kw in calls["svd"] if s == shape] == [{"compute_uv": False}]
+    assert calls["qr"] == []
+    assert calls["build"] == calls["trivial"] == 1
+
+    # enough arcs but flexible by rank (collinear agents): the full SVD
+    # follows, on the matrix and trivial basis the verdict already holds
+    calls.update(svd=[], qr=[], build=0, trivial=0)
+    line = Configuration(np.outer(np.arange(1.0, fw.n + 1), [1.0, 2.0]), fw.config.biases)
+    path, _ = _framework_file(tmp_path, "line.json", ConicFramework(complete, line))
+    assert cli.main(["check", path]) == 1
+    assert [kw for s, kw in calls["svd"] if s == shape] == [
+        {"compute_uv": False},
+        {"full_matrices": True},
+    ]
+    assert calls["qr"] == []
+    assert calls["build"] == calls["trivial"] == 1
+
+
+def _assert_flex(fw, q):
+    assert q is not None
+    a = conic_rigidity_matrix(fw).matrix
+    sigma_max = np.linalg.norm(a, 2) if a.size else 0.0
+    assert np.linalg.norm(q) == pytest.approx(1.0)
+    assert np.linalg.norm(a @ q) <= 1e-12 * sigma_max
+    assert np.max(np.abs(trivial_space_basis(fw.config).T @ q)) < 1e-8
+
+
+@given(
+    st.integers(2, 7),
+    st.integers(1, 3),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=80, deadline=None)
+def test_arc_short_frameworks_always_have_a_flex(n, d, share, collinear, seed):
+    rng = np.random.default_rng(seed)
+    ordered = [(u, w) for u in range(n) for w in range(n) if u != w]
+    # any count short of s_conic, none included
+    m = int(share * min(s_conic(n, d) - 1, len(ordered)))
+    arcs = [ordered[i] for i in rng.choice(len(ordered), size=m, replace=False)]
+    p = random_generic_configuration(n, d, seed)
+    if collinear:
+        # rank-deficient: every agent on one line through a random point
+        positions = rng.random(d) + np.outer(rng.permutation(n) + 1.0, rng.random(d) + 0.5)
+        p = Configuration(positions, p.biases)
+    fw = ConicFramework(DirectedGraph(n, arcs), p)
+    q = nontrivial_flex(fw)
+    _assert_flex(fw, q)
+    assert np.array_equal(nontrivial_flex(fw, verdict=is_infinitesimally_rigid(fw)), q)
+
+
+# seeds whose arcs are independent: most random picks on the line are not
+@pytest.mark.parametrize("n,d,seed", [(5, 1, 3), (7, 2, 2), (6, 3, 3)])
+def test_flex_of_a_full_row_rank_framework_matches_the_svd_kernel(tmp_path, n, d, seed):
+    # one arc short of full row rank: the flex is unique up to sign
+    _, fw = _short_framework_file(tmp_path, n, d, seed)
+    a = conic_rigidity_matrix(fw).matrix
+    _, sigma, vt = np.linalg.svd(a, full_matrices=True)
+    assert np.sum(sigma > 1e-8 * sigma[0]) == a.shape[0]
+    t = trivial_space_basis(fw.config)
+    null = vt[a.shape[0] :].T
+    u, s, _ = np.linalg.svd(null - t @ (t.T @ null))
+    assert s[1] < 1e-8 < s[0]
+    ref = u[:, 0]
+    q = nontrivial_flex(fw)
+    _assert_flex(fw, q)
+    assert min(np.max(np.abs(q - ref)), np.max(np.abs(q + ref))) < 1e-8
