@@ -2,10 +2,11 @@
 
 Samples random conic graphs with arc counts straddling the rigidity
 threshold, runs the decomposition search and the generic rank check on
-each, and reports agreement plus wall-clock totals. Any disagreement
-would be printed with the offending graph; none is expected.
+each, and reports agreement plus wall-clock totals. A disagreement, an
+invariant error or a cross-check error is printed with the offending
+graph and counted on its own line; the exit code is 1 when any occurred.
 
-Usage: python3 scripts/verdict_agreement.py [--trials 500] [--max-n 9]
+Usage: python3 scripts/verdict_agreement.py [--trials 500] [--max-n 30]
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 
 from conicrig import (
     ConicGraph,
+    CrossCheckError,
+    DecompositionInvariantError,
     DirectedGraph,
     RigidityOracle,
     conic_class,
@@ -31,7 +34,7 @@ from conicrig import (
 class ExperimentConfig:
     trials: int = 500
     min_n: int = 3
-    max_n: int = 9
+    max_n: int = 30
     d: int = 2
     seed: int = 42
 
@@ -53,14 +56,22 @@ def run(cfg: ExperimentConfig) -> int:
     oracles_dec = {n: RigidityOracle(n, cfg.d) for n in sizes}
     oracles_num = {n: RigidityOracle(n, cfg.d, backend="numeric") for n in sizes}
     rigid = flexible = disagreements = 0
+    errors = {DecompositionInvariantError: 0, CrossCheckError: 0}
     t_decompose = t_numeric = 0.0
     for _ in range(cfg.trials):
         n = int(rng.integers(cfg.min_n, cfg.max_n + 1))
         cg = random_conic_graph(rng, n, cfg.d)
 
         t0 = time.perf_counter()
-        dec, trace = decompose(cg, oracles_dec[n])
-        t_decompose += time.perf_counter() - t0
+        try:
+            dec, trace = decompose(cg, oracles_dec[n])
+        except tuple(errors) as exc:
+            errors[type(exc)] += 1
+            print(f"{type(exc).__name__} n={n} simple={cg.simple_edges} "
+                  f"double={cg.double_edges}: {exc}")
+            continue
+        finally:
+            t_decompose += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         numeric = oracles_num[n].conic_rank(cg) == s_conic(n, cfg.d)
@@ -79,15 +90,17 @@ def run(cfg: ExperimentConfig) -> int:
 
     print(f"trials: {cfg.trials}  rigid: {rigid}  flexible: {flexible}")
     print(f"disagreements: {disagreements}")
+    for kind, count in errors.items():
+        print(f"{kind.__name__}: {count}")
     print(f"decomposition time: {t_decompose:.2f}s  numeric time: {t_numeric:.2f}s")
-    return disagreements
+    return disagreements + sum(errors.values())
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=500)
     parser.add_argument("--min-n", type=int, default=3)
-    parser.add_argument("--max-n", type=int, default=9)
+    parser.add_argument("--max-n", type=int, default=30)
     parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()

@@ -5,7 +5,8 @@ fundamental circuits, and basis exchange.
 For d = 2 the oracle runs the pebble game; for d >= 3 it falls back to
 numeric rank, maximised over a fixed set of random configurations so
 that unlucky samples cannot deflate the generic rank. Conic rank
-queries are always numeric. Queries are memoized.
+queries are always numeric. Queries are memoized; planar circuits are
+read from one pebble game per basis.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class RigidityOracle:
         ]
         self._euclidean_cache: dict[tuple[Pair, ...], int] = {}
         self._conic_cache: dict[tuple[tuple[Pair, ...], tuple[Pair, ...]], int] = {}
+        # pebble game of the last basis asked for circuits; one entry
+        self._game: Optional[tuple[tuple[Pair, ...], PebbleState]] = None
 
     # -- Euclidean queries ------------------------------------------------
 
@@ -79,6 +82,18 @@ class RigidityOracle:
     def is_independent(self, edges: Iterable[Sequence[int]]) -> bool:
         key = _canon(edges)
         return self.euclidean_rank(key) == len(key)
+
+    def _basis_game(self, basis: tuple[Pair, ...]) -> PebbleState:
+        """Pebble game with a canonical edge set inserted (pebble backend).
+
+        The game of the last edge set asked for is kept, so circuit
+        queries on one basis share it.
+        """
+        if self._game is None or self._game[0] != basis:
+            state = PebbleState(self.n)
+            state.insert_all(basis)
+            self._game = (basis, state)
+        return self._game[1]
 
     # -- conic queries (always numeric) -----------------------------------
 
@@ -154,13 +169,29 @@ def fundamental_circuit(
     basis: Iterable[Sequence[int]], uv: Sequence[int], oracle: RigidityOracle
 ) -> tuple[Pair, ...]:
     """Edges of a minimally rigid basis that generate uv: exactly those
-    e for which basis - e + uv is again independent."""
+    e for which basis - e + uv is again independent.
+
+    The pebble backend reads them from one game on the basis, kept by the
+    oracle for later queries: the accepted edges inside the minimal tight
+    set holding u and v (`PebbleState.circuit`). The numeric backend tests
+    basis - e + uv for every e.
+    """
     b = _canon(basis)
     uv = normalize_edge(uv)
-    if len(b) != s_euclidean(oracle.n, oracle.d) or not oracle.is_independent(b):
+    game = None
+    if len(b) != s_euclidean(oracle.n, oracle.d):
+        independent = False
+    elif oracle.backend == "pebble":
+        game = oracle._basis_game(b)
+        independent = len(game.accepted) == len(b)
+    else:
+        independent = oracle.is_independent(b)
+    if not independent:
         raise ValueError("basis is not minimally rigid")
     if uv in b:
         raise ValueError(f"edge {uv} already in the basis")
+    if game is not None:
+        return game.circuit(*uv)
     bset = set(b)
     circuit = []
     for e in b:

@@ -55,8 +55,9 @@ class PebbleState:
                     stack.append(y)
         return False
 
-    def try_insert(self, u: int, w: int) -> bool:
-        """Insert edge {u, w} if it is independent; report success."""
+    def _gather_four(self, u: int, w: int) -> bool:
+        """Gather four pebbles on u and w, which holds exactly when edge
+        {u, w} is independent of the accepted edges; report success."""
         if u == w:
             raise ValueError(f"self loop at vertex {u}")
         if not (0 <= u < self.n and 0 <= w < self.n):
@@ -66,6 +67,12 @@ class PebbleState:
                 continue
             if self.pebbles[w] < 2 and self._gather_one(w, u):
                 continue
+            return False
+        return True
+
+    def try_insert(self, u: int, w: int) -> bool:
+        """Insert edge {u, w} if it is independent; report success."""
+        if not self._gather_four(u, w):
             return False
         self.pebbles[u] -= 1
         self.out[u].add(w)
@@ -80,6 +87,27 @@ class PebbleState:
             if self.try_insert(u, w):
                 count += 1
         return count
+
+    def circuit(self, u: int, w: int) -> tuple[Pair, ...]:
+        """Accepted edges that form a circuit with {u, w}, sorted; empty
+        when {u, w} is independent of them. Nothing is inserted.
+
+        When four pebbles cannot be gathered, the vertices reachable from
+        u and w span the minimal tight set holding both (Jacobs and
+        Hendrickson 1997; Lee and Streinu 2008), and the accepted edges
+        inside it are the circuit. Gathering only reorients edges, so the
+        game keeps answering queries on the same accepted edges.
+        """
+        if self._gather_four(u, w):
+            return ()
+        reach = {u, w}
+        stack = [u, w]
+        while stack:
+            for y in self.out[stack.pop()]:
+                if y not in reach:
+                    reach.add(y)
+                    stack.append(y)
+        return tuple(sorted(e for e in self.accepted if e[0] in reach and e[1] in reach))
 
 
 def laman_rank(g: EuclideanGraph) -> int:

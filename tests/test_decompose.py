@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conicrig import (
     ConicGraph,
     CrossCheckError,
+    DecompositionInvariantError,
     DirectedGraph,
     RigidityOracle,
     conic_class,
@@ -19,8 +21,10 @@ from conicrig import (
     s_conic,
     union,
 )
+from conicrig import cli
 from conicrig.decompose import apply_swap_chain, select_swap_chain
 from conicrig.graphs import connected_components, find_cycle
+from conicrig.pebble import PebbleState
 from golden import (
     CHAIN7_CYCLE,
     CHAIN7_FULL_FINAL_H,
@@ -97,6 +101,39 @@ def test_selection_chain_on_the_designed_split():
     assert laman_rigid(dec.g)
     before = union(CHAIN7_G, CHAIN7_H)
     assert is_decomposition_of(dec, before)
+
+
+def test_selection_plays_one_pebble_game_for_its_basis(monkeypatch):
+    # every circuit of one basis is read from the same game
+    decompose_module = importlib.import_module("conicrig.decompose")
+    circuit = decompose_module.fundamental_circuit
+    asked, games = [], []
+    init = PebbleState.__post_init__
+
+    def counted_init(self):
+        games.append(self.n)
+        init(self)
+
+    def counted_circuit(basis, uv, oracle):
+        asked.append(uv)
+        return circuit(basis, uv, oracle)
+
+    monkeypatch.setattr(PebbleState, "__post_init__", counted_init)
+    monkeypatch.setattr(decompose_module, "fundamental_circuit", counted_circuit)
+    chain = select_swap_chain(CHAIN7_G, CHAIN7_H, find_cycle(CHAIN7_H), RigidityOracle(7, 2))
+    assert tuple((s.uv, s.wz, s.z) for s in chain) == CHAIN7_STEPS
+    assert len(asked) == 3
+    assert games == [7]
+
+
+@pytest.mark.xfail(strict=True, raises=DecompositionInvariantError)
+def test_designed_graph_of_seed_6_decomposes(tmp_path):
+    # the exchange chain picks (1, 7) for (0, 7) and loses minimal rigidity
+    path = str(tmp_path / "g.json")
+    assert cli.main(["design", "14", "--seed", "6", "--out", path]) == 0
+    cg = cli.load_input_file(path).graph
+    dec, _ = decompose(cg, RigidityOracle(cg.n, 2))
+    assert dec is not None
 
 
 def test_full_pipeline_on_the_chain_fixture():

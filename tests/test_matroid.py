@@ -14,8 +14,9 @@ from conicrig import (
     s_euclidean,
     swap,
 )
+from conicrig.pebble import PebbleState
 from golden import G1, G2, G2_CIRCUIT_12, GAMMA5
-from oracles import sparsity_rank
+from oracles import sparsity_independent, sparsity_rank
 
 
 def edge_sets(max_n=7):
@@ -121,6 +122,64 @@ def test_fundamental_circuit_validates_inputs():
         fundamental_circuit(G2.edges[:-1], (1, 2), oracle)  # too small
     with pytest.raises(ValueError):
         fundamental_circuit(G2.edges, (2, 4), oracle)  # already present
+
+
+def _exchange_circuit(n, basis, uv):
+    """{e in basis : basis - e + uv independent}, each candidate decided by
+    its own fresh pebble game."""
+    circuit = []
+    for e in basis:
+        candidate = [f for f in basis if f != e] + [uv]
+        if PebbleState(n).insert_all(candidate) == len(candidate):
+            circuit.append(e)
+    return tuple(circuit)
+
+
+def _pairs(n):
+    return [(u, w) for u in range(n) for w in range(u + 1, n)]
+
+
+@st.composite
+def planar_bases(draw, min_n=4, max_n=25):
+    n = draw(st.integers(min_n, max_n))
+    pool = draw(st.permutations(_pairs(n)))
+    return n, extend_to_minimally_rigid([], pool, RigidityOracle(n, 2))
+
+
+@given(planar_bases())
+@settings(max_examples=10)
+def test_planar_circuits_match_the_exchange_definition(nb):
+    n, basis = nb
+    oracle = RigidityOracle(n, 2)
+    bset = set(basis)
+    for uv in _pairs(n):
+        if uv in bset:
+            continue
+        circuit = fundamental_circuit(basis, uv, oracle)
+        assert circuit == _exchange_circuit(n, basis, uv)
+        if n <= 7:
+            counted = tuple(
+                e for e in basis if sparsity_independent(n, (bset - {e}) | {uv})
+            )
+            assert circuit == counted
+
+
+def test_circuits_on_two_bases_through_one_oracle():
+    # alternating bases must not answer from the other basis's game
+    n = 9
+    rng = np.random.default_rng(3)
+    pairs = _pairs(n)
+    oracle = RigidityOracle(n, 2)
+    bases = [
+        extend_to_minimally_rigid([], [pairs[i] for i in rng.permutation(len(pairs))], oracle)
+        for _ in range(2)
+    ]
+    shared = [uv for uv in pairs if uv not in bases[0] and uv not in bases[1]]
+    expected = [[_exchange_circuit(n, b, uv) for uv in shared] for b in bases]
+    assert expected[0] != expected[1]
+    for k, uv in enumerate(shared):
+        for b, want in zip(bases, expected):
+            assert fundamental_circuit(b, uv, oracle) == want[k]
 
 
 def test_swap_reproduces_the_companion_basis():

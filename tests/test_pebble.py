@@ -98,3 +98,15 @@ def test_accepted_edges_form_an_independent_set():
     state.insert_all(complete_graph(5).edges)
     assert sparsity_independent(5, state.accepted)
     assert len(state.accepted) == s_euclidean(5, 2)
+
+
+def test_circuit_reads_the_tight_set_without_inserting():
+    # K4 minus (2, 3), hinged at vertex 2 to the triangle {2, 4, 5}
+    state = PebbleState(6)
+    state.insert_all([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (2, 5), (4, 5)])
+    accepted, total = list(state.accepted), sum(state.pebbles)
+    assert state.circuit(2, 3) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
+    assert state.circuit(3, 4) == ()  # independent: no circuit
+    assert state.accepted == accepted
+    assert sum(state.pebbles) == total
+    assert state.circuit(2, 3) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
