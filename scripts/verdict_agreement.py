@@ -51,10 +51,9 @@ def random_conic_graph(rng: np.random.Generator, n: int, d: int) -> ConicGraph:
 def run(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     sizes = range(cfg.min_n, cfg.max_n + 1)
-    # separate oracles, else the cross-check inside decompose would warm
-    # the cache and the numeric timing would measure nothing
-    oracles_dec = {n: RigidityOracle(n, cfg.d) for n in sizes}
-    oracles_num = {n: RigidityOracle(n, cfg.d, backend="numeric") for n in sizes}
+    # one oracle per size serves both tests: conic ranks are not memoized,
+    # so the numeric test below is timed from scratch
+    oracles = {n: RigidityOracle(n, cfg.d) for n in sizes}
     rigid = flexible = disagreements = 0
     errors = {DecompositionInvariantError: 0, CrossCheckError: 0}
     t_decompose = t_numeric = 0.0
@@ -64,7 +63,7 @@ def run(cfg: ExperimentConfig) -> int:
 
         t0 = time.perf_counter()
         try:
-            dec, trace = decompose(cg, oracles_dec[n])
+            dec, trace = decompose(cg, oracles[n])
         except tuple(errors) as exc:
             errors[type(exc)] += 1
             print(f"{type(exc).__name__} n={n} simple={cg.simple_edges} "
@@ -74,7 +73,7 @@ def run(cfg: ExperimentConfig) -> int:
             t_decompose += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        numeric = oracles_num[n].conic_rank(cg) == s_conic(n, cfg.d)
+        numeric = oracles[n].conic_rank(cg) == s_conic(n, cfg.d)
         t_numeric += time.perf_counter() - t0
 
         if (dec is not None) != numeric:

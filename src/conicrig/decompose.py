@@ -25,16 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .frameworks import Decomposition, is_decomposition_of
+from .frameworks import Decomposition, is_decomposition_of, oriented_arcs
 from .graphs import (
     ConicGraph,
+    DirectedGraph,
     EuclideanGraph,
     Pair,
     connected_components,
     find_cycle,
 )
 from .matroid import RigidityOracle, extend_to_minimally_rigid, fundamental_circuit
-from .rigidity import TolerancePolicy, s_conic, s_euclidean
+from .rigidity import TolerancePolicy, numeric_rank, s_conic, s_euclidean
 
 
 class DecompositionInvariantError(RuntimeError):
@@ -289,10 +290,12 @@ def apply_swap_chain(
     return dec, tuple(exchanges)
 
 
-def _graph_from_multiplicity(n: int, mult: dict[Pair, int]) -> ConicGraph:
-    simple = [p for p, c in mult.items() if c == 1]
-    double = [p for p, c in mult.items() if c == 2]
-    return ConicGraph(n, simple, double)
+def _arc_pool(cg: ConicGraph) -> tuple[DirectedGraph, dict[Pair, int]]:
+    """Every arc a subgraph of cg can hold, and each arc's row: (u, w) for
+    every pair, then (w, u) for every double edge."""
+    arcs = list(cg.all_pairs()) + [(w, u) for u, w in cg.double_edges]
+    pool = DirectedGraph(cg.n, arcs)
+    return pool, {a: i for i, a in enumerate(pool.arcs)}
 
 
 def _trim_to_core(
@@ -304,10 +307,19 @@ def _trim_to_core(
     two copies); a copy is kept when it raises the numeric conic rank.
     Returns (core, surplus copies), or (None, ()) when the arcs cannot
     support full rank.
+
+    The constraint matrix of every arc in the pool is built once per
+    oracle configuration. A candidate is the subset of its rows in
+    `orient` order, so it equals the candidate's own matrix; it is kept
+    at the first configuration where it has full row rank.
     """
     target = s_conic(cg.n, oracle.d)
     double_set = set(cg.double_edges)
-    mult: dict[Pair, int] = {}
+    pool, row = _arc_pool(cg)
+    pooled = [m.matrix for m in oracle.conic_matrices(pool)]
+    # pairs arrive sorted, so appending keeps both lists sorted
+    double: list[Pair] = []
+    simple: list[Pair] = []
     count = 0
     surplus: list[Pair] = []
     for pair in cg.all_pairs():
@@ -316,17 +328,22 @@ def _trim_to_core(
             if count == target:
                 surplus.append(pair)
                 continue
-            cand_mult = dict(mult)
-            cand_mult[pair] = cand_mult.get(pair, 0) + 1
-            cand = _graph_from_multiplicity(cg.n, cand_mult)
-            if oracle.conic_rank(cand) == count + 1:
-                mult = cand_mult
+            if simple and simple[-1] == pair:
+                cand_double, cand_simple = double + [pair], simple[:-1]
+            else:
+                cand_double, cand_simple = double, simple + [pair]
+            rows = [row[a] for a in oriented_arcs(cand_double, cand_simple)]
+            if any(
+                numeric_rank(a[rows], oracle.policy.rel_tol).rank == count + 1
+                for a in pooled
+            ):
+                double, simple = cand_double, cand_simple
                 count += 1
             else:
                 surplus.append(pair)
     if count < target:
         return None, ()
-    return _graph_from_multiplicity(cg.n, mult), tuple(surplus)
+    return ConicGraph(cg.n, simple, double), tuple(surplus)
 
 
 def decompose(

@@ -5,7 +5,8 @@ fundamental circuits, and basis exchange.
 For d = 2 the oracle runs the pebble game; for d >= 3 it falls back to
 numeric rank, maximised over a fixed set of random configurations so
 that unlucky samples cannot deflate the generic rank. Conic rank
-queries are always numeric. Queries are memoized; planar circuits are
+queries are always numeric and are built at those same configurations
+(`conic_matrices`). Euclidean queries are memoized; planar circuits are
 read from one pebble game per basis.
 """
 
@@ -17,6 +18,7 @@ from .frameworks import ConicFramework, random_generic_configuration, orient
 from .graphs import ConicGraph, DirectedGraph, EuclideanGraph, Pair, normalize_edge
 from .pebble import PebbleState
 from .rigidity import (
+    RigidityMatrix,
     TolerancePolicy,
     conic_rigidity_matrix,
     euclidean_rigidity_matrix,
@@ -56,7 +58,6 @@ class RigidityOracle:
             for i in range(policy.trials)
         ]
         self._euclidean_cache: dict[tuple[Pair, ...], int] = {}
-        self._conic_cache: dict[tuple[tuple[Pair, ...], tuple[Pair, ...]], int] = {}
         # pebble game of the last basis asked for circuits; one entry
         self._game: Optional[tuple[tuple[Pair, ...], PebbleState]] = None
 
@@ -97,21 +98,20 @@ class RigidityOracle:
 
     # -- conic queries (always numeric) -----------------------------------
 
+    def conic_matrices(self, dg: DirectedGraph) -> list[RigidityMatrix]:
+        """The conic constraint matrix of dg at each of the oracle's
+        configurations, in their fixed order."""
+        if dg.n != self.n:
+            raise ValueError("vertex count mismatch")
+        return [conic_rigidity_matrix(ConicFramework(dg, p)) for p in self._configs]
+
     def conic_rank(self, cg: ConicGraph) -> int:
         if cg.n != self.n:
             raise ValueError("vertex count mismatch")
-        key = (cg.simple_edges, cg.double_edges)
-        if key in self._conic_cache:
-            return self._conic_cache[key]
-        dg = orient(cg)
-        rank = max(
-            numeric_rank(
-                conic_rigidity_matrix(ConicFramework(dg, p)), self.policy.rel_tol
-            ).rank
-            for p in self._configs
+        return max(
+            numeric_rank(m, self.policy.rel_tol).rank
+            for m in self.conic_matrices(orient(cg))
         )
-        self._conic_cache[key] = rank
-        return rank
 
     def conic_independent(self, cg: ConicGraph) -> bool:
         return self.conic_rank(cg) == cg.edge_count
