@@ -8,6 +8,11 @@ Subcommands:
     flex-demo   sample the reference flex curves / second placement
     random      emit a random framework file
 
+Numeric flags go only where they are read: check takes --tol (relative
+SVD cutoff); decompose and design take --tol, --seeds (random
+configurations per generic rank query) and --seed (their base seed);
+random takes --seed; compare and flex-demo take none.
+
 Exit status: 0 rigid, 1 flexible or not rigid, 2 error. Diagnostics go
 to stderr; CONIC_RIGIDITY_LOG=error|warn|info|debug sets the level.
 
@@ -47,6 +52,7 @@ from .frameworks import (
     arc_pseudo_ranges,
     conic_class,
     orient,
+    union,
 )
 from .graphs import ConicGraph, DirectedGraph, EuclideanGraph
 from .matroid import RigidityOracle, extend_to_minimally_rigid
@@ -252,7 +258,7 @@ def cmd_check(args) -> int:
     if d == 1:
         verdict = is_rigid_1d(fw)
         required = s_conic(n, 1)
-        matrix = conic_rigidity_matrix(fw).matrix
+        matrix = conic_rigidity_matrix(fw)
         report = numeric_rank(matrix, rel_tol=args.tol)
         agree = verdict.rigid == (report.rank == required)
         print(f"increasing shadow components: {len(verdict.plus_components)}")
@@ -271,7 +277,7 @@ def cmd_check(args) -> int:
         print(f"constraint residual of the flex: {residual:.3e}")
         return 1
 
-    verdict = is_infinitesimally_rigid(fw, policy=_policy(args))
+    verdict = is_infinitesimally_rigid(fw, policy=TolerancePolicy(rel_tol=args.tol))
     report = verdict.report
     print(
         f"rank: {report.rank} / {verdict.required_rank} required  "
@@ -368,11 +374,7 @@ def cmd_design(args) -> int:
     if len(tree) != n - 1:
         raise AssertionError("complete graph failed to yield a spanning tree")
 
-    g = EuclideanGraph(n, basis)
-    h = EuclideanGraph(n, tree)
-    simple = g.edge_set() ^ h.edge_set()
-    double = g.edge_set() & h.edge_set()
-    cg = ConicGraph(n, simple, double)
+    cg = union(EuclideanGraph(n, basis), EuclideanGraph(n, tree))
     ids = tuple(str(v) for v in range(n))
     cf = ConicGraphFile(ids, cg, d)
 
@@ -499,15 +501,17 @@ def cmd_random(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
         "--tol", type=float, default=1e-10, help="relative SVD cutoff (default 1e-10)"
     )
-    common.add_argument(
+    seeds = argparse.ArgumentParser(add_help=False)
+    seeds.add_argument(
         "--seeds", type=int, default=5,
         help="random configurations per generic rank query (default 5)",
     )
-    common.add_argument(
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument(
         "--seed", type=int, default=42, help="base random seed (default 42)"
     )
 
@@ -517,12 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="test a framework file")
+    p = sub.add_parser("check", parents=[tol], help="test a framework file")
     p.add_argument("file", help="framework JSON file")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
-        "decompose", parents=[common], help="constructive rigidity of a conic graph"
+        "decompose", parents=[tol, seeds, seed],
+        help="constructive rigidity of a conic graph",
     )
     p.add_argument("file", help="conic graph or framework JSON file")
     p.add_argument("--d", type=int, default=None, help="dimension (default: the file's)")
@@ -530,27 +535,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser(
-        "design", parents=[common], help="generate a minimally rigid conic graph"
+        "design", parents=[tol, seeds, seed],
+        help="generate a minimally rigid conic graph",
     )
     p.add_argument("n", type=int, help="number of agents")
     p.add_argument("--d", type=int, default=2, help="dimension (default 2)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("compare", parents=[common], help="arc count comparison")
+    p = sub.add_parser("compare", help="arc count comparison")
     p.add_argument("n", type=int, help="number of agents")
     p.add_argument("--d", type=int, default=2, help="dimension (default 2)")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser(
-        "flex-demo", parents=[common], help="sample the reference flex curves"
-    )
+    p = sub.add_parser("flex-demo", help="sample the reference flex curves")
     p.add_argument("kind", choices=("hyperbola", "ellipse", "intersection"))
     p.add_argument("--samples", type=int, default=100, help="sample count (default 100)")
     p.add_argument("--out", default=None, help="CSV output file (default stdout)")
     p.set_defaults(func=cmd_flex_demo)
 
-    p = sub.add_parser("random", parents=[common], help="emit a random framework file")
+    p = sub.add_parser("random", parents=[seed], help="emit a random framework file")
     p.add_argument("n", type=int, help="number of agents")
     p.add_argument("arcs", type=int, help="number of arcs")
     p.add_argument("--d", type=int, default=2, help="dimension (default 2)")

@@ -316,7 +316,7 @@ def _trim_to_core(
     target = s_conic(cg.n, oracle.d)
     double_set = set(cg.double_edges)
     pool, row = _arc_pool(cg)
-    pooled = [m.matrix for m in oracle.conic_matrices(pool)]
+    pooled = list(oracle.conic_matrices(pool))
     # pairs arrive sorted, so appending keeps both lists sorted
     double: list[Pair] = []
     simple: list[Pair] = []

@@ -155,26 +155,6 @@ def connected_components(g: EuclideanGraph) -> list[list[int]]:
     return comps
 
 
-def spanning_forest(g: EuclideanGraph) -> EuclideanGraph:
-    """Deterministic DFS forest with the same components as g."""
-    adj = adjacency(g.n, g.edges)
-    seen = [False] * g.n
-    tree_edges: list[Pair] = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    tree_edges.append(normalize_edge((x, y)))
-                    stack.append(y)
-    return EuclideanGraph(g.n, tree_edges)
-
-
 def find_cycle(g: EuclideanGraph) -> Optional[list[Pair]]:
     """One cycle of g as an edge list along the closed walk, else None.
 

@@ -12,17 +12,19 @@ read from one pebble game per basis.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .frameworks import ConicFramework, random_generic_configuration, orient
 from .graphs import ConicGraph, DirectedGraph, EuclideanGraph, Pair, normalize_edge
 from .pebble import PebbleState
 from .rigidity import (
-    RigidityMatrix,
     TolerancePolicy,
     conic_rigidity_matrix,
     euclidean_rigidity_matrix,
     numeric_rank,
+    s_conic,
     s_euclidean,
 )
 
@@ -98,23 +100,26 @@ class RigidityOracle:
 
     # -- conic queries (always numeric) -----------------------------------
 
-    def conic_matrices(self, dg: DirectedGraph) -> list[RigidityMatrix]:
+    def conic_matrices(self, dg: DirectedGraph) -> Iterator[np.ndarray]:
         """The conic constraint matrix of dg at each of the oracle's
-        configurations, in their fixed order."""
+        configurations, in their fixed order, each built when asked for."""
         if dg.n != self.n:
             raise ValueError("vertex count mismatch")
-        return [conic_rigidity_matrix(ConicFramework(dg, p)) for p in self._configs]
+        return (conic_rigidity_matrix(ConicFramework(dg, p)) for p in self._configs)
 
     def conic_rank(self, cg: ConicGraph) -> int:
+        """Largest numeric conic rank over the configurations, stopping
+        at the first that reaches min(s_conic(n, d), arc count), which
+        no configuration can exceed."""
         if cg.n != self.n:
             raise ValueError("vertex count mismatch")
-        return max(
-            numeric_rank(m, self.policy.rel_tol).rank
-            for m in self.conic_matrices(orient(cg))
-        )
-
-    def conic_independent(self, cg: ConicGraph) -> bool:
-        return self.conic_rank(cg) == cg.edge_count
+        ceiling = min(s_conic(self.n, self.d), cg.edge_count)
+        rank = 0
+        for m in self.conic_matrices(orient(cg)):
+            rank = max(rank, numeric_rank(m, self.policy.rel_tol).rank)
+            if rank == ceiling:
+                break
+        return rank
 
 
 def extend_to_minimally_rigid(

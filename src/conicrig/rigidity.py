@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .frameworks import Configuration, ConicFramework
-from .graphs import DirectedGraph, EuclideanGraph, Pair, incidence_transpose
-
-EdgeInput = Union[Sequence[Pair], EuclideanGraph, DirectedGraph]
+from .graphs import DirectedGraph, Pair, incidence_transpose
 
 
 def s_euclidean(n: int, d: int) -> int:
@@ -46,33 +44,9 @@ class TolerancePolicy:
 @dataclass(frozen=True)
 class RankReport:
     rank: int
-    singular_values: tuple[float, ...]
     tolerance_used: float
-    trials: int = 1
     gap_ratio: float = float("inf")
     ill_conditioned: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class RigidityMatrix:
-    """Dense constraint matrix plus its row labels (arcs or edges)."""
-
-    matrix: np.ndarray
-    rows: tuple[Pair, ...]
-    n: int
-    d: int
-
-    @property
-    def has_bias_block(self) -> bool:
-        return self.matrix.shape[1] == (self.d + 1) * self.n
-
-
-def _as_pairs(edges: EdgeInput) -> tuple[Pair, ...]:
-    if isinstance(edges, EuclideanGraph):
-        return edges.edges
-    if isinstance(edges, DirectedGraph):
-        return edges.arcs
-    return tuple((int(u), int(w)) for u, w in edges)
 
 
 def _ends(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
@@ -81,9 +55,8 @@ def _ends(pairs: Sequence[Pair]) -> tuple[np.ndarray, np.ndarray]:
     return ends[:, 0], ends[:, 1]
 
 
-def euclidean_rigidity_matrix(edges: EdgeInput, p: Configuration) -> RigidityMatrix:
+def euclidean_rigidity_matrix(pairs: Sequence[Pair], p: Configuration) -> np.ndarray:
     """Distance-constraint matrix, one row per pair, d*n columns."""
-    pairs = _as_pairs(edges)
     n, d = p.n, p.d
     u, w = _ends(pairs)
     diff = p.positions[u] - p.positions[w]
@@ -92,7 +65,7 @@ def euclidean_rigidity_matrix(edges: EdgeInput, p: Configuration) -> RigidityMat
     m = np.zeros((len(pairs), d * n))
     m[rows, d * u[:, None] + block] = diff
     m[rows, d * w[:, None] + block] = -diff
-    return RigidityMatrix(m, pairs, n, d)
+    return m
 
 
 def bias_matrix(dg: DirectedGraph, p: Configuration) -> np.ndarray:
@@ -105,26 +78,22 @@ def bias_matrix(dg: DirectedGraph, p: Configuration) -> np.ndarray:
     return dists[:, None] * incidence_transpose(dg)
 
 
-def conic_rigidity_matrix(fw: ConicFramework) -> RigidityMatrix:
+def conic_rigidity_matrix(fw: ConicFramework) -> np.ndarray:
     """Full constraint matrix [spatial blocks | bias columns]."""
-    me = euclidean_rigidity_matrix(fw.graph, fw.config)
-    b = bias_matrix(fw.graph, fw.config)
-    return RigidityMatrix(np.hstack([me.matrix, b]), fw.graph.arcs, fw.n, fw.d)
+    me = euclidean_rigidity_matrix(fw.graph.arcs, fw.config)
+    return np.hstack([me, bias_matrix(fw.graph, fw.config)])
 
 
-def numeric_rank(
-    m: Union[np.ndarray, RigidityMatrix], rel_tol: float = 1e-10
-) -> RankReport:
+def numeric_rank(m: np.ndarray, rel_tol: float = 1e-10) -> RankReport:
     """SVD rank with cutoff rel_tol * sigma_max * max(rows, cols).
 
-    One values-only SVD. The report keeps the spectrum and flags the
-    decision as ill-conditioned when the gap between the smallest kept
-    and largest dropped singular value is under three orders of
-    magnitude.
+    One values-only SVD. The report flags the decision as
+    ill-conditioned when the gap between the smallest kept and largest
+    dropped singular value is under three orders of magnitude.
     """
-    a = m.matrix if isinstance(m, RigidityMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.size == 0:
-        return RankReport(0, (), 0.0)
+        return RankReport(0, 0.0)
     sigma = np.linalg.svd(a, compute_uv=False)
     tol, rank = _cutoff(sigma, a.shape, rel_tol)
     if rank == 0:
@@ -136,9 +105,7 @@ def numeric_rank(
         gap = float(sigma[rank - 1]) / dropped if dropped > 0 else float("inf")
     return RankReport(
         rank=rank,
-        singular_values=tuple(float(s) for s in sigma),
         tolerance_used=tol,
-        trials=1,
         gap_ratio=gap,
         ill_conditioned=gap < 1e3,
     )
@@ -200,7 +167,7 @@ class RigidityVerdict:
     required_rank: int
     kernel_dim: int
     # what the verdict was computed from, so nontrivial_flex need not redo it
-    matrix: RigidityMatrix = field(compare=False, repr=False)
+    matrix: np.ndarray = field(compare=False, repr=False)
     trivial_basis: np.ndarray = field(compare=False, repr=False)
 
     @property
@@ -249,10 +216,10 @@ def nontrivial_flex(
     trivial basis are reused. Without one both are computed here.
     """
     if verdict is None:
-        a = conic_rigidity_matrix(fw).matrix
+        a = conic_rigidity_matrix(fw)
         t = trivial_space_basis(fw.config)
     else:
-        a, t = verdict.matrix.matrix, verdict.trivial_basis
+        a, t = verdict.matrix, verdict.trivial_basis
     if fw.graph.m < s_conic(fw.n, fw.d):
         null = np.linalg.qr(a.T, mode="complete")[0][:, a.shape[0] :]
     else:

@@ -95,7 +95,7 @@ def test_02_line_placements_decide_rigidity():
     flexible = quad_framework(QUAD_FLEX_COORDS)
     rigid = quad_framework(QUAD_RIGID_COORDS)
     q = flex_witness_1d(flexible)
-    residual = float(np.linalg.norm(conic_rigidity_matrix(flexible).matrix @ q))
+    residual = float(np.linalg.norm(conic_rigidity_matrix(flexible) @ q))
     ok = (
         not is_rigid_1d(flexible).rigid
         and residual <= 1e-10

@@ -241,6 +241,36 @@ def test_random_is_deterministic(tmp_path, capsys):
     assert main(["check", a]) in (0, 1)  # must parse and run
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "4", "--tol", "1e-9"],
+        ["flex-demo", "hyperbola", "--seeds", "3"],
+        ["check", "FILE", "--seed", "1"],
+        ["random", "4", "5", "--tol", "1e-9"],
+    ],
+)
+def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, argv):
+    path = dump(tmp_path, "pinned.json", PINNED_FILE)
+    with pytest.raises(SystemExit) as exc:
+        main([path if a == "FILE" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sampling_flags_still_parse_where_they_are_read(tmp_path, capsys):
+    path = dump(tmp_path, "g5.json", GAMMA5_FILE)
+    assert main(["decompose", path]) == 0
+    plain = capsys.readouterr().out
+    assert main(["decompose", path, "--tol", "1e-9", "--seeds", "3", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == plain
+    designed = str(tmp_path / "designed.json")
+    assert main(["design", "7", "--seeds", "3", "--out", designed]) == 0
+    capsys.readouterr()
+    assert main(["decompose", designed]) == 0
+    assert "verdict: rigid" in capsys.readouterr().out
+
+
 def test_random_rejects_impossible_requests(capsys):
     assert main(["random", "3", "7"]) == 2  # only 6 ordered pairs exist
     assert "arc count" in capsys.readouterr().err

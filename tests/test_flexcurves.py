@@ -109,7 +109,7 @@ def test_curve_velocity_lies_in_the_matrix_kernel():
         e = np.zeros(9)
         e[4:6] = velocity
         e[8] = bias_rate
-        m = conic_rigidity_matrix(fw).matrix
+        m = conic_rigidity_matrix(fw)
         assert np.linalg.norm(m @ e) <= 1e-5 * np.linalg.norm(e)
 
 

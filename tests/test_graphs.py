@@ -14,7 +14,6 @@ from conicrig.graphs import (
     find_cycle,
     incidence_transpose,
     normalize_edge,
-    spanning_forest,
 )
 from oracles import count_components
 
@@ -88,15 +87,6 @@ def test_components_match_union_find(g):
     # ordering contract: sorted inside, ordered by smallest member
     assert all(c == sorted(c) for c in comps)
     assert [c[0] for c in comps] == sorted(c[0] for c in comps)
-
-
-@given(random_graphs())
-def test_spanning_forest_properties(g):
-    f = spanning_forest(g)
-    assert set(f.edges) <= set(g.edges)
-    assert connected_components(f) == connected_components(g)
-    assert f.m == g.n - len(connected_components(g))
-    assert find_cycle(f) is None
 
 
 @given(random_graphs())

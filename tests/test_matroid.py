@@ -57,12 +57,34 @@ def test_euclidean_rank_caches_consistently():
 
 def test_conic_rank_of_the_family_fixture():
     oracle = RigidityOracle(5, 2)
-    assert oracle.conic_rank(GAMMA5) == s_conic(5, 2) == 11
-    assert oracle.conic_independent(GAMMA5)
+    assert oracle.conic_rank(GAMMA5) == s_conic(5, 2) == GAMMA5.edge_count
     # dropping one simple edge keeps independence, loses rigidity
     smaller = ConicGraph(5, GAMMA5.simple_edges[1:], GAMMA5.double_edges)
-    assert oracle.conic_rank(smaller) == 10
-    assert oracle.conic_independent(smaller)
+    assert oracle.conic_rank(smaller) == smaller.edge_count == 10
+
+
+def test_conic_rank_stops_at_the_first_configuration_reaching_its_ceiling(
+    monkeypatch,
+):
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    oracle = RigidityOracle(5, 2)
+    # rigid with s_conic(5, 2) arcs: the first configuration settles it
+    assert oracle.conic_rank(GAMMA5) == 11
+    assert len(calls) == 1
+    # a doubled K4 plus one pendant edge: 13 arcs but rank at most 9, so
+    # no configuration reaches the ceiling and every one is factored
+    k4 = [(u, w) for u in range(4) for w in range(u + 1, 4)]
+    flexible = ConicGraph(5, [(3, 4)], k4)
+    del calls[:]
+    assert oracle.conic_rank(flexible) == 9
+    assert len(calls) == oracle.policy.trials == 5
 
 
 def test_extend_from_empty_seed():

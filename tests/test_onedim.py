@@ -79,7 +79,7 @@ def test_witness_is_exactly_in_the_kernel():
     fw = quad_framework(QUAD_FLEX_COORDS)
     q = flex_witness_1d(fw)
     assert q is not None
-    residual = conic_rigidity_matrix(fw).matrix @ q
+    residual = conic_rigidity_matrix(fw) @ q
     assert np.max(np.abs(residual)) == 0.0
 
 
@@ -114,7 +114,7 @@ def test_witness_always_valid_when_flexible():
             assert is_rigid_1d(fw).rigid
             continue
         checked += 1
-        residual = conic_rigidity_matrix(fw).matrix @ q
+        residual = conic_rigidity_matrix(fw) @ q
         assert float(np.linalg.norm(residual)) == 0.0
         # never a pure translation or pure bias shift
         n = fw.n

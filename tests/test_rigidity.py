@@ -47,14 +47,12 @@ def test_matrix_entries_by_hand():
         DirectedGraph(2, [(0, 1)]),
         Configuration([[0.0, 0.0], [3.0, 4.0]], [0.25, -0.5]),
     )
-    me = euclidean_rigidity_matrix(fw.graph, fw.config)
-    assert me.matrix.tolist() == [[-3.0, -4.0, 3.0, 4.0]]
+    me = euclidean_rigidity_matrix(fw.graph.arcs, fw.config)
+    assert me.tolist() == [[-3.0, -4.0, 3.0, 4.0]]
     b = bias_matrix(fw.graph, fw.config)
     assert b.tolist() == [[-5.0, 5.0]]
     m = conic_rigidity_matrix(fw)
-    assert m.matrix.tolist() == [[-3.0, -4.0, 3.0, 4.0, -5.0, 5.0]]
-    assert m.rows == ((0, 1),)
-    assert m.has_bias_block
+    assert m.tolist() == [[-3.0, -4.0, 3.0, 4.0, -5.0, 5.0]]
 
 
 def test_numeric_rank_empty_and_zero():
@@ -112,7 +110,7 @@ def test_trivial_space_always_admissible(n, d, seed):
     # annihilated by the constraint matrix of the complete arc set
     arcs = [(u, w) for u in range(n) for w in range(n) if u != w]
     fw = ConicFramework(DirectedGraph(n, arcs), p)
-    m = conic_rigidity_matrix(fw).matrix
+    m = conic_rigidity_matrix(fw)
     assert np.max(np.abs(m @ t)) < 1e-9
 
 
@@ -136,7 +134,7 @@ def test_nontrivial_flex_contract():
     q = nontrivial_flex(fw)
     assert q is not None
     assert np.linalg.norm(q) == pytest.approx(1.0)
-    m = conic_rigidity_matrix(fw).matrix
+    m = conic_rigidity_matrix(fw)
     assert np.max(np.abs(m @ q)) < 1e-8
     t = trivial_space_basis(fw.config)
     assert np.max(np.abs(t.T @ q)) < 1e-8
@@ -184,16 +182,15 @@ def test_matrices_match_the_per_arc_loop(d):
     for dg in (DirectedGraph(n, arcs), DirectedGraph(n, [])):
         spatial, bias = _loop_matrices(dg.arcs, p)
         assert np.array_equal(bias_matrix(dg, p), bias)
-        assert np.array_equal(euclidean_rigidity_matrix(dg, p).matrix, spatial)
-        assert np.array_equal(conic_rigidity_matrix(ConicFramework(dg, p)).matrix,
+        assert np.array_equal(euclidean_rigidity_matrix(dg.arcs, p), spatial)
+        assert np.array_equal(conic_rigidity_matrix(ConicFramework(dg, p)),
                               np.hstack([spatial, bias]))
     # the distance matrix also takes a plain pair list, repeats included
     repeated = arcs + arcs[:3]
     spatial, _ = _loop_matrices(repeated, p)
     me = euclidean_rigidity_matrix(repeated, p)
-    assert np.array_equal(me.matrix, spatial)
-    assert me.rows == tuple(repeated)
-    assert euclidean_rigidity_matrix([], p).matrix.shape == (0, d * n)
+    assert np.array_equal(me, spatial)
+    assert euclidean_rigidity_matrix([], p).shape == (0, d * n)
 
 
 def _framework_file(tmp_path, name, fw):
@@ -222,7 +219,7 @@ def test_check_flex_reuses_the_rank_factorization(tmp_path, monkeypatch, n, d):
     alone = nontrivial_flex(fw)
     assert np.max(np.abs(q - alone)) < 1e-8
     report = is_infinitesimally_rigid(fw).report
-    assert np.linalg.norm(conic_rigidity_matrix(fw).matrix @ q) <= report.tolerance_used
+    assert np.linalg.norm(conic_rigidity_matrix(fw) @ q) <= report.tolerance_used
     assert np.max(np.abs(trivial_space_basis(fw.config).T @ q)) < 1e-8
 
 
@@ -293,7 +290,7 @@ def test_check_takes_one_svd_of_the_constraint_matrix(tmp_path, monkeypatch):
 
 def _assert_flex(fw, q):
     assert q is not None
-    a = conic_rigidity_matrix(fw).matrix
+    a = conic_rigidity_matrix(fw)
     sigma_max = np.linalg.norm(a, 2) if a.size else 0.0
     assert np.linalg.norm(q) == pytest.approx(1.0)
     assert np.linalg.norm(a @ q) <= 1e-12 * sigma_max
@@ -330,7 +327,7 @@ def test_arc_short_frameworks_always_have_a_flex(n, d, share, collinear, seed):
 def test_flex_of_a_full_row_rank_framework_matches_the_svd_kernel(tmp_path, n, d, seed):
     # one arc short of full row rank: the flex is unique up to sign
     _, fw = _short_framework_file(tmp_path, n, d, seed)
-    a = conic_rigidity_matrix(fw).matrix
+    a = conic_rigidity_matrix(fw)
     _, sigma, vt = np.linalg.svd(a, full_matrices=True)
     assert np.sum(sigma > 1e-8 * sigma[0]) == a.shape[0]
     t = trivial_space_basis(fw.config)

@@ -1,0 +1,44 @@
+"""The experiment scripts run against the installed library API."""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+
+
+def test_savings_table_prints_the_limit_rows():
+    done = run_script("savings_table.py")
+    assert done.returncode == 0, done.stderr
+    limits = [line.split()[-1] for line in done.stdout.splitlines()
+              if line.split()[:1] == ["limit"]]
+    assert limits == ["25.00%", "33.33%"]  # d = 2, then d = 3
+
+
+def test_verdict_agreement_counts_and_exit_status():
+    done = run_script("verdict_agreement.py", "--trials", "30", "--max-n", "9")
+    assert done.returncode in (0, 1), done.stderr
+    out = done.stdout
+    trials = re.search(r"^trials: 30  rigid: (\d+)  flexible: (\d+)$", out, re.M)
+    assert trials is not None, out
+    counts = [
+        int(re.search(rf"^{label}: (\d+)$", out, re.M).group(1))
+        for label in ("disagreements", "DecompositionInvariantError", "CrossCheckError")
+    ]
+    assert int(trials.group(1)) + int(trials.group(2)) + sum(counts) == 30
+    assert re.search(r"^decomposition time: .*s  numeric time: .*s$", out, re.M)
+    assert done.returncode == (1 if any(counts) else 0)
