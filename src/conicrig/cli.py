@@ -112,7 +112,7 @@ class ConicGraphFile:
 def _index_ids(raw_ids: Sequence[VertexId]) -> dict[VertexId, int]:
     index: dict[VertexId, int] = {}
     for vid in raw_ids:
-        if not isinstance(vid, (str, int)) or isinstance(vid, bool):
+        if type(vid) not in (str, int):
             raise ValueError(f"vertex id {vid!r} must be a string or integer")
         if vid in index:
             raise ValueError(f"duplicate vertex id {vid!r}")
@@ -120,19 +120,35 @@ def _index_ids(raw_ids: Sequence[VertexId]) -> dict[VertexId, int]:
     return index
 
 
-def _lookup_pair(pair, index: dict[VertexId, int], what: str) -> tuple[int, int]:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"{what} {pair!r} must name two vertices")
+def _positive_int(data: dict, key: str) -> int:
+    if type(data.get(key)) is not int or data[key] < 1:
+        raise ValueError(f"{key} must be a positive integer")
+    return data[key]
+
+
+def _number(value, what: str) -> float:
     try:
-        return index[pair[0]], index[pair[1]]
-    except KeyError as exc:
-        raise ValueError(f"{what} {pair!r} names unknown vertex {exc.args[0]!r}")
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} {value!r} is not a number") from None
+
+
+def _lookup_pairs(data: dict, key: str, index: dict[VertexId, int]) -> list[tuple[int, int]]:
+    pairs = data.get(key, [])
+    if not isinstance(pairs, list):
+        raise ValueError(f"{key} must be a list of vertex pairs")
+    what = key[:-1].replace("_", " ")  # "simple_edges" -> "simple edge"
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"{what} {pair!r} must name two vertices")
+        unknown = [v for v in pair if type(v) not in (str, int) or v not in index]
+        if unknown:
+            raise ValueError(f"{what} {pair!r} names unknown vertex {unknown[0]!r}")
+    return [(index[u], index[w]) for u, w in pairs]
 
 
 def parse_framework_file(data: dict) -> FrameworkFile:
-    d = data.get("dimension")
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
+    d = _positive_int(data, "dimension")
     verts = data.get("vertices")
     if not isinstance(verts, list) or not verts:
         raise ValueError("vertices must be a non-empty list")
@@ -144,10 +160,10 @@ def parse_framework_file(data: dict) -> FrameworkFile:
         pos = v["position"]
         if not isinstance(pos, list) or len(pos) != d:
             raise ValueError(f"vertex {v['id']!r} position must have {d} coordinates")
-        positions.append([float(c) for c in pos])
-        biases.append(float(v.get("bias", 0.0)))
+        positions.append([_number(c, f"vertex {v['id']!r} coordinate") for c in pos])
+        biases.append(_number(v.get("bias", 0.0), f"vertex {v['id']!r} bias"))
     index = _index_ids(ids)
-    arcs = [_lookup_pair(a, index, "arc") for a in data.get("arcs", [])]
+    arcs = _lookup_pairs(data, "arcs", index)
     fw = ConicFramework(
         DirectedGraph(len(ids), arcs),
         Configuration(np.array(positions), np.array(biases)),
@@ -156,23 +172,18 @@ def parse_framework_file(data: dict) -> FrameworkFile:
 
 
 def parse_conic_graph_file(data: dict) -> ConicGraphFile:
-    d = data.get("dimension")
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
+    d = _positive_int(data, "dimension")
     if "vertices" in data:
         ids = data["vertices"]
         if not isinstance(ids, list) or not ids:
             raise ValueError("vertices must be a non-empty list of ids")
     elif "n" in data:
-        n = data["n"]
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("n must be a positive integer")
-        ids = list(range(n))
+        ids = list(range(_positive_int(data, "n")))
     else:
         raise ValueError("conic graph file needs vertices or n")
     index = _index_ids(ids)
-    simple = [_lookup_pair(e, index, "simple edge") for e in data.get("simple_edges", [])]
-    double = [_lookup_pair(e, index, "double edge") for e in data.get("double_edges", [])]
+    simple = _lookup_pairs(data, "simple_edges", index)
+    double = _lookup_pairs(data, "double_edges", index)
     return ConicGraphFile(tuple(ids), ConicGraph(len(ids), simple, double), d)
 
 

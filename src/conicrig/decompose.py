@@ -22,10 +22,10 @@ oriented instance; a disagreement raises instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .frameworks import Decomposition, is_decomposition_of, oriented_arcs
+from .frameworks import Decomposition, conic_class, is_decomposition_of
 from .graphs import (
     ConicGraph,
     DirectedGraph,
@@ -90,43 +90,16 @@ class DecompositionTrace:
     numeric_rank: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        def edges(es):
-            return None if es is None else [list(e) for e in es]
-
-        return {
-            "n": self.n,
-            "d": self.d,
-            "edge_count": self.edge_count,
-            "s_required": self.s_required,
-            "rigid": self.rigid,
-            "reason": self.reason,
-            "surplus": edges(self.surplus),
-            "initial": {"g": edges(self.initial_g), "h": edges(self.initial_h)},
-            "rounds": [
-                {
-                    "cycle": edges(r.cycle),
-                    "chain": [
-                        {
-                            "step": s.step,
-                            "uv": list(s.uv),
-                            "wz": list(s.wz),
-                            "u_set": list(s.u_set),
-                            "z": s.z,
-                        }
-                        for s in r.chain
-                    ],
-                    "exchanges": [
-                        {"sigma": x.sigma, "uv": list(x.uv), "wz": list(x.wz)}
-                        for x in r.exchanges
-                    ],
-                    "components_before": r.components_before,
-                    "components_after": r.components_after,
-                }
-                for r in self.rounds
-            ],
-            "final": {"g": edges(self.final_g), "h": edges(self.final_h)},
-            "numeric_rank": self.numeric_rank,
-        }
+        """The fields in order, with initial_* and final_* nested as
+        {"g", "h"}; pairs stay tuples, which json writes as lists."""
+        data: dict = {}
+        for key, value in asdict(self).items():
+            if key.startswith(("initial_", "final_")):
+                part, side = key.split("_")
+                data.setdefault(part, {})[side] = value
+            else:
+                data[key] = value
+        return data
 
 
 def _component_of(n: int, edges, root: int) -> set[int]:
@@ -290,60 +263,41 @@ def apply_swap_chain(
     return dec, tuple(exchanges)
 
 
-def _arc_pool(cg: ConicGraph) -> tuple[DirectedGraph, dict[Pair, int]]:
-    """Every arc a subgraph of cg can hold, and each arc's row: (u, w) for
-    every pair, then (w, u) for every double edge."""
-    arcs = list(cg.all_pairs()) + [(w, u) for u, w in cg.double_edges]
-    pool = DirectedGraph(cg.n, arcs)
-    return pool, {a: i for i, a in enumerate(pool.arcs)}
-
-
 def _trim_to_core(
     cg: ConicGraph, oracle: RigidityOracle
 ) -> tuple[Optional[ConicGraph], tuple[Pair, ...]]:
     """Greedy conic-independent core of exactly s_conic(n, d) arcs.
 
-    Arc copies are scanned lexicographically (double edges contribute
-    two copies); a copy is kept when it raises the numeric conic rank.
-    Returns (core, surplus copies), or (None, ()) when the arcs cannot
-    support full rank.
-
-    The constraint matrix of every arc in the pool is built once per
-    oracle configuration. A candidate is the subset of its rows in
-    `orient` order, so it equals the candidate's own matrix; it is kept
-    at the first configuration where it has full row rank.
+    Scans one arc list: (u, w) for every pair in order, then (w, u) when
+    the pair is a double edge. A copy is kept when the kept rows plus its
+    own have full row rank at some oracle configuration, until s_conic(n, d)
+    copies are kept. A second copy whose first was rejected is surplus
+    untested: it would test the same conic graph. Returns (core, surplus
+    copies), or (None, ()) when the arcs cannot support full rank.
     """
     target = s_conic(cg.n, oracle.d)
     double_set = set(cg.double_edges)
-    pool, row = _arc_pool(cg)
-    pooled = list(oracle.conic_matrices(pool))
-    # pairs arrive sorted, so appending keeps both lists sorted
-    double: list[Pair] = []
-    simple: list[Pair] = []
-    count = 0
+    arcs: list[Pair] = []
+    for u, w in cg.all_pairs():
+        arcs.append((u, w))
+        if (u, w) in double_set:
+            arcs.append((w, u))
+    matrices = list(oracle.conic_matrices(DirectedGraph(cg.n, arcs)))
+    kept: list[int] = []
     surplus: list[Pair] = []
-    for pair in cg.all_pairs():
-        avail = 2 if pair in double_set else 1
-        for _ in range(avail):
-            if count == target:
-                surplus.append(pair)
-                continue
-            if simple and simple[-1] == pair:
-                cand_double, cand_simple = double + [pair], simple[:-1]
-            else:
-                cand_double, cand_simple = double, simple + [pair]
-            rows = [row[a] for a in oriented_arcs(cand_double, cand_simple)]
-            if any(
-                numeric_rank(a[rows], oracle.policy.rel_tol).rank == count + 1
-                for a in pooled
-            ):
-                double, simple = cand_double, cand_simple
-                count += 1
-            else:
-                surplus.append(pair)
-    if count < target:
+    for i, (u, w) in enumerate(arcs):
+        # a second copy (w, u) follows its first at i - 1 and needs it kept
+        tested = len(kept) < target and (u < w or kept[-1:] == [i - 1])
+        if tested and any(
+            numeric_rank(a[kept + [i]], oracle.policy.rel_tol).rank == len(kept) + 1
+            for a in matrices
+        ):
+            kept.append(i)
+        else:
+            surplus.append((min(u, w), max(u, w)))
+    if len(kept) < target:
         return None, ()
-    return ConicGraph(cg.n, simple, double), tuple(surplus)
+    return conic_class(DirectedGraph(cg.n, [arcs[i] for i in kept])), tuple(surplus)
 
 
 def decompose(
@@ -421,7 +375,7 @@ def decompose(
                 chain=tuple(chain),
                 exchanges=exchanges,
                 components_before=len(comps),
-                components_after=len(connected_components(dec_next.h)),
+                components_after=len(comps) - 1,  # enforced by apply_swap_chain
             )
         )
         g, h = dec_next.g, dec_next.h

@@ -9,7 +9,7 @@ directions but remembers which pairs carry both arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -166,24 +166,16 @@ def is_decomposition_of(dec: Decomposition, cg: ConicGraph) -> bool:
     return union(dec.g, dec.h) == cg
 
 
-def oriented_arcs(
-    double_edges: Iterable[tuple[int, int]], simple_edges: Iterable[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Arcs of the canonical orientation, in order: both arcs of each
-    double edge, then one low-to-high arc per simple edge."""
-    arcs: list[tuple[int, int]] = []
-    for u, w in double_edges:
-        arcs.append((u, w))
-        arcs.append((w, u))
-    arcs.extend(simple_edges)
-    return arcs
-
-
 def orient(obj: Union[ConicGraph, Decomposition]) -> DirectedGraph:
     """Canonical orientation: double edges yield both arcs (in sorted
     edge order), then each simple edge yields one low-to-high arc."""
     cg = union(obj.g, obj.h) if isinstance(obj, Decomposition) else obj
-    return DirectedGraph(cg.n, oriented_arcs(cg.double_edges, cg.simple_edges))
+    arcs: list[tuple[int, int]] = []
+    for u, w in cg.double_edges:
+        arcs.append((u, w))
+        arcs.append((w, u))
+    arcs.extend(cg.simple_edges)
+    return DirectedGraph(cg.n, arcs)
 
 
 def random_generic_configuration(n: int, d: int, seed: int) -> Configuration:

@@ -287,6 +287,35 @@ def test_unreadable_and_malformed_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _with_vertex(data, **fields):
+    """data with its first vertex entry updated."""
+    verts = [dict(data["vertices"][0], **fields)] + data["vertices"][1:]
+    return dict(data, vertices=verts)
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        (dict(PINNED_FILE, arcs=5), "arcs"),
+        (dict(GAMMA5_FILE, simple_edges=7), "simple_edges"),
+        (dict(PINNED_FILE, arcs=[[["a"], "b"]]), "arc"),
+        (dict(GAMMA5_FILE, double_edges=[[1, ["a"]]]), "double edge"),
+        (_with_vertex(PINNED_FILE, bias=[1]), "bias"),
+        (_with_vertex(PINNED_FILE, position=[None, 0.0]), "coordinate"),
+        (dict(quad_file(QUAD_RIGID_COORDS), dimension=True), "dimension"),
+        (dict(GAMMA5_FILE, dimension=True), "dimension"),
+    ],
+    ids=["arcs", "simple-edges", "arc-id", "double-edge-id", "bias", "coordinate",
+         "dimension-framework", "dimension-graph"],
+)
+def test_malformed_field_types_are_errors(tmp_path, capsys, data, field):
+    path = dump(tmp_path, "malformed.json", data)
+    for command in ("check", "decompose"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+
 def test_log_level_env_is_validated(monkeypatch, capsys):
     monkeypatch.setenv("CONIC_RIGIDITY_LOG", "loud")
     assert main(["compare", "4"]) == 2

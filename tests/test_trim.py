@@ -18,13 +18,11 @@ from conicrig import (
     conic_rigidity_matrix,
     extend_to_minimally_rigid,
     orient,
-    random_generic_configuration,
     s_conic,
 )
-from conicrig.decompose import _arc_pool, _trim_to_core
-from conicrig.frameworks import oriented_arcs
+from conicrig.decompose import _trim_to_core
+from conicrig.frameworks import conic_class
 from conicrig.graphs import normalize_edge
-from golden import GAMMA5
 
 
 # -- reference: one conic-rank query per arc copy ----------------------------
@@ -153,62 +151,92 @@ def test_trim_matches_the_per_candidate_reference(seed, n, d, kind):
     assert surplus == ref_surplus
 
 
-def random_candidate(cg, rng):
-    """A random subgraph of cg, as (double, simple): each pair keeps up to
-    its multiplicity."""
-    double_set = set(cg.double_edges)
-    double, simple = [], []
-    for pair in cg.all_pairs():
-        copies = int(rng.integers(0, 3 if pair in double_set else 2))
-        if copies == 1:
-            simple.append(pair)
-        elif copies == 2:
-            double.append(pair)
-    return double, simple
-
-
-def test_pooled_rows_equal_the_candidate_matrix():
-    rng = np.random.default_rng(5)
-    only_double = ConicGraph(6, [], [(0, 1), (0, 3), (1, 2), (2, 5), (3, 4), (4, 5)])
-    cases = [(only_double, 2), (only_double, 3), (GAMMA5, 2)]
-    cases += [(near_threshold(n, d, rng), d) for n, d in [(7, 2), (9, 2), (8, 3), (11, 3)]]
-    for cg, d in cases:
-        pool, row = _arc_pool(cg)
-        p = random_generic_configuration(cg.n, d, int(rng.integers(1000)))
-        pooled = conic_rigidity_matrix(ConicFramework(pool, p))
-        cands = [(list(cg.double_edges), list(cg.simple_edges))]
-        cands += [random_candidate(cg, rng) for _ in range(20)]
-        for double, simple in cands:
-            if not double and not simple:
-                continue
-            direct = conic_rigidity_matrix(
-                ConicFramework(orient(ConicGraph(cg.n, simple, double)), p)
-            )
-            assert np.array_equal(pooled[[row[a] for a in oriented_arcs(double, simple)]], direct)
-    # a double-only graph takes both arcs of every edge and nothing else
-    pool, row = _arc_pool(only_double)
-    rows = [row[a] for a in oriented_arcs(only_double.double_edges, [])]
-    assert sorted(rows) == list(range(pool.m)) and pool.m == 12
-
-
-# a rigid input whose trim rejects 4 copies, and a refused one rejecting 3
-@pytest.mark.parametrize("make, seed", [(surplus_graph, 1), (two_blocks, 3)])
-def test_trim_builds_one_matrix_per_configuration(monkeypatch, make, seed):
-    matroid_module = importlib.import_module("conicrig.matroid")
+def run_trim(cg, oracle):
+    """The trim's result, its arc list, its matrix at each configuration, and
+    every matrix it factors, in order."""
     decompose_module = importlib.import_module("conicrig.decompose")
-    cg = make(10, 2, np.random.default_rng(seed))
+    conic_matrices, rank_of = oracle.conic_matrices, decompose_module.numeric_rank
+    pools, taken = [], []
+
+    def recording_matrices(dg):
+        pools.append((dg.arcs, list(conic_matrices(dg))))
+        return iter(pools[-1][1])
+
+    def taking_rank(a, rel_tol):
+        taken.append(a)
+        return rank_of(a, rel_tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "conic_matrices", recording_matrices)
+        mp.setattr(decompose_module, "numeric_rank", taking_rank)
+        result = _trim_to_core(cg, oracle)
+    ((arcs, pooled),) = pools
+    return result, arcs, pooled, taken
+
+
+def locate(a, pooled):
+    """(configuration index, row indices) of the trim's matrix whose rows
+    make up a."""
+    for c, m in enumerate(pooled):
+        where = {row.tobytes(): j for j, row in enumerate(m)}
+        rows = [where.get(row.tobytes()) for row in a]
+        if None not in rows:
+            return c, rows
+    raise AssertionError("a factored matrix is not made of the trim's rows")
+
+
+def candidate(n, arcs, rows):
+    return conic_class(DirectedGraph(n, [arcs[j] for j in rows]))
+
+
+def same_rows(a, b):
+    """Equal entry for entry up to the order of the rows."""
+    return a.shape == b.shape and np.array_equal(a[np.lexsort(a.T)], b[np.lexsort(b.T)])
+
+
+def test_the_trim_factors_each_candidate_once_per_configuration(monkeypatch):
+    # a double edge's first copy is rejected here; testing its second copy
+    # would factor the same candidate again at every configuration
+    cg = two_blocks(10, 2, np.random.default_rng(1))
     oracle = RigidityOracle(10, 2)
-    trials = oracle.policy.trials
+    svd, svds = np.linalg.svd, []
+
+    def counted_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    _, arcs, pooled, taken = run_trim(cg, oracle)
+    monkeypatch.undo()
+    keys = [(c, candidate(cg.n, arcs, rows)) for c, rows in (locate(a, pooled) for a in taken)]
+    assert len(set(keys)) == len(keys) == len(svds) == 35  # re-testing takes 40
+
+
+# rigid inputs in the plane and in space, and two refused ones, one of which
+# rejects a double edge's first copy
+@pytest.mark.parametrize(
+    "make, seed, d",
+    [
+        pytest.param(surplus_graph, 1, 2, id="surplus_graph-1"),
+        pytest.param(two_blocks, 3, 2, id="two_blocks-3"),
+        pytest.param(two_blocks, 1, 2, id="two_blocks-1"),
+        pytest.param(surplus_graph, 1, 3, id="surplus_graph-1-space"),
+    ],
+)
+def test_trim_builds_one_matrix_per_configuration(monkeypatch, make, seed, d):
+    matroid_module = importlib.import_module("conicrig.matroid")
+    cg = make(10, d, np.random.default_rng(seed))
+    oracle = RigidityOracle(10, d)
 
     # the reference asks one conic rank per tested copy and factors its
-    # matrix at every configuration
-    verdicts, factored = [], []
+    # matrix at each configuration until one reaches full rank
+    tested, factored = [], []
     conic_rank, rank_of = oracle.conic_rank, matroid_module.numeric_rank
 
     def recording(g):
         factored.append([])
         rank = conic_rank(g)
-        verdicts.append(rank == g.edge_count)
+        tested.append((g, rank == g.edge_count))
         return rank
 
     def recording_rank(m, rel_tol):
@@ -219,12 +247,9 @@ def test_trim_builds_one_matrix_per_configuration(monkeypatch, make, seed):
     monkeypatch.setattr(matroid_module, "numeric_rank", recording_rank)
     ref = reference_trim(cg, oracle)
     monkeypatch.undo()
-    accepted = sum(verdicts)
-    rejected = len(verdicts) - accepted
-    assert accepted > 0 and rejected > 0
+    assert any(ok for _, ok in tested) and not all(ok for _, ok in tested)
 
     counts = {"build": 0, "svd": 0, "conic": 0, "directed": 0}
-    taken = []
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -233,39 +258,44 @@ def test_trim_builds_one_matrix_per_configuration(monkeypatch, make, seed):
 
         return wrapper
 
-    def taking_rank(a, rel_tol):
-        taken.append(a)
-        return rank_of(a, rel_tol)
-
     build = matroid_module.conic_rigidity_matrix
     monkeypatch.setattr(matroid_module, "conic_rigidity_matrix", counted("build", build))
-    monkeypatch.setattr(decompose_module, "numeric_rank", taking_rank)
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(ConicGraph, "__init__", counted("conic", ConicGraph.__init__))
     monkeypatch.setattr(DirectedGraph, "__init__", counted("directed", DirectedGraph.__init__))
-    core, surplus = _trim_to_core(cg, oracle)
+    (core, surplus), arcs, pooled, taken = run_trim(cg, oracle)
     monkeypatch.undo()
 
     assert (core, surplus) == ref
-    assert counts["build"] == trials
-    assert counts["directed"] == 1  # the arc pool
+    assert counts["build"] == oracle.policy.trials
+    assert counts["directed"] == 1 + (core is not None)  # the arc list, the core's arcs
     assert counts["conic"] == (core is not None)  # the core it returns
     assert counts["svd"] == len(taken)
-    assert accepted + rejected <= len(taken) <= accepted + trials * rejected
-    # each tested copy factors, entry for entry, a prefix of the matrices
-    # the reference factors for it
-    i = 0
-    for group in factored:
-        k = 0
-        while (
-            k < len(group)
-            and i < len(taken)
-            and taken[i].shape == group[k].shape
-            and np.array_equal(taken[i], group[k])
-        ):
-            i, k = i + 1, k + 1
-        assert k >= 1
-    assert i == len(taken)
+
+    # the trim's factored matrices, grouped by candidate in scan order
+    groups = []
+    for a in taken:
+        g = candidate(cg.n, arcs, locate(a, pooled)[1])
+        if groups and groups[-1][0] == g:
+            groups[-1][1].append(a)
+        else:
+            groups.append((g, [a]))
+    # the reference tests a double edge's second copy after its first was
+    # rejected on the same candidate again; the trim skips exactly those
+    kept = [i for i, t in enumerate(tested) if i == 0 or tested[i - 1] != (t[0], False)]
+    assert [g for g, _ in groups] == [tested[i][0] for i in kept]
+    # each tested copy factors the reference's matrices up to row order
+    for (_, mats), i in zip(groups, kept):
+        assert len(mats) == len(factored[i])
+        assert all(same_rows(a, b) for a, b in zip(mats, factored[i]))
+
+    if core is not None:
+        # the last factored matrix is the one that kept the last copy; its
+        # rows are the core's own constraint matrix at every configuration
+        rows = locate(taken[-1], pooled)[1]
+        for m, p in zip(pooled, oracle._configs):
+            direct = conic_rigidity_matrix(ConicFramework(orient(core), p))
+            assert same_rows(m[rows], direct)
 
 
 def test_a_degenerate_configuration_does_not_change_the_trim():
