@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -128,9 +129,12 @@ def _positive_int(data: dict, key: str) -> int:
 
 def _number(value, what: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} {value!r} is not a number") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{what} {value!r} is not finite")
+    return x
 
 
 def _lookup_pairs(data: dict, key: str, index: dict[VertexId, int]) -> list[tuple[int, int]]:

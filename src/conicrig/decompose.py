@@ -34,7 +34,7 @@ from .graphs import (
     connected_components,
     find_cycle,
 )
-from .matroid import RigidityOracle, extend_to_minimally_rigid, fundamental_circuit
+from .matroid import RigidityOracle, fundamental_circuit
 from .rigidity import TolerancePolicy, numeric_rank, s_conic, s_euclidean
 
 
@@ -130,8 +130,9 @@ def initial_decomposition(
     """Split a conic graph of exactly s_conic(n, d) arcs into a
     minimally rigid G and an (n-1)-edge H sharing the double edges.
 
-    Returns None when the double edges are dependent or when all edges
-    together cannot reach full Euclidean rank; both conditions rule out
+    One game takes the sorted double edges, then the sorted simple edges;
+    G is the accepted edges. Returns None when a double edge is rejected
+    or fewer than s_euclidean(n, d) edges are accepted; both rule out
     rigidity.
     """
     n, d = cg.n, oracle.d
@@ -141,14 +142,14 @@ def initial_decomposition(
         raise ValueError(
             f"need exactly {s_conic(n, d)} arcs, got {cg.edge_count}"
         )
-    e_d = set(cg.double_edges)
-    e_s = set(cg.simple_edges)
-    if not oracle.is_independent(e_d):
+    game = oracle.game(cg.double_edges)
+    if len(game.accepted) < len(cg.double_edges):
         return None
-    if oracle.euclidean_rank(e_d | e_s) < s_euclidean(n, d):
+    game.insert_all(cg.simple_edges)
+    if len(game.accepted) < s_euclidean(n, d):
         return None
-    e_g = extend_to_minimally_rigid(e_d, sorted(e_s), oracle)
-    e_h = e_d | (e_s - set(e_g))
+    e_g = set(game.accepted)
+    e_h = [e for e in cg.simple_edges if e not in e_g] + list(cg.double_edges)
     return Decomposition(EuclideanGraph(n, e_g), EuclideanGraph(n, e_h))
 
 

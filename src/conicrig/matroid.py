@@ -2,12 +2,11 @@
 operations the decomposition machinery needs: greedy extension,
 fundamental circuits, and basis exchange.
 
-For d = 2 the oracle runs the pebble game; for d >= 3 it falls back to
-numeric rank, maximised over a fixed set of random configurations so
-that unlucky samples cannot deflate the generic rank. Conic rank
-queries are always numeric and are built at those same configurations
-(`conic_matrices`). Euclidean queries are memoized; planar circuits are
-read from one pebble game per basis.
+The basis operations play one independence game, `RigidityOracle.game`:
+the pebble game for d = 2, and for d >= 3 a `NumericGame` of numeric ranks
+maximised over a fixed set of random configurations, so that unlucky samples
+cannot deflate the generic rank. Conic ranks are numeric at those same
+configurations (`conic_matrices`). Euclidean rank queries are memoized.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .frameworks import ConicFramework, random_generic_configuration, orient
-from .graphs import ConicGraph, DirectedGraph, EuclideanGraph, Pair, normalize_edge
+from .graphs import ConicGraph, DirectedGraph, Pair, normalize_edge
 from .pebble import PebbleState
 from .rigidity import (
     TolerancePolicy,
@@ -36,32 +35,29 @@ def _canon(edges: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
 class RigidityOracle:
     """Rank and independence queries for edge sets on a fixed (n, d)."""
 
-    def __init__(
-        self,
-        n: int,
-        d: int,
-        backend: str = "auto",
-        policy: TolerancePolicy = TolerancePolicy(),
-    ):
+    def __init__(self, n: int, d: int, policy: TolerancePolicy = TolerancePolicy()):
         if d < 2:
             raise ValueError("matroid oracle needs d >= 2; the line has its own test")
-        if backend == "auto":
-            backend = "pebble" if d == 2 else "numeric"
-        if backend == "pebble" and d != 2:
-            raise ValueError("pebble backend is planar only")
-        if backend not in ("pebble", "numeric"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.n = int(n)
         self.d = int(d)
-        self.backend = backend
         self.policy = policy
         self._configs = [
             random_generic_configuration(self.n, self.d, policy.base_seed + i)
             for i in range(policy.trials)
         ]
         self._euclidean_cache: dict[tuple[Pair, ...], int] = {}
-        # pebble game of the last basis asked for circuits; one entry
-        self._game: Optional[tuple[tuple[Pair, ...], PebbleState]] = None
+        # game of the last basis asked for circuits; one entry
+        self._game: Optional[tuple[tuple[Pair, ...], PebbleState | NumericGame]] = None
+
+    def _generic_rank(self, matrices: Iterable[np.ndarray], ceiling: int) -> int:
+        """Largest numeric rank over the matrices, one per configuration,
+        stopping at the first that reaches the ceiling, which none exceeds."""
+        rank = 0
+        for m in matrices:
+            rank = max(rank, numeric_rank(m, self.policy.rel_tol).rank)
+            if rank == ceiling:
+                break
+        return rank
 
     # -- Euclidean queries ------------------------------------------------
 
@@ -69,15 +65,12 @@ class RigidityOracle:
         key = _canon(edges)
         if key in self._euclidean_cache:
             return self._euclidean_cache[key]
-        if self.backend == "pebble":
-            state = PebbleState(self.n)
-            rank = state.insert_all(key)
+        if self.d == 2:
+            rank = PebbleState(self.n).insert_all(key)
         else:
-            rank = max(
-                numeric_rank(
-                    euclidean_rigidity_matrix(key, p), self.policy.rel_tol
-                ).rank
-                for p in self._configs
+            rank = self._generic_rank(
+                (euclidean_rigidity_matrix(key, p) for p in self._configs),
+                min(s_euclidean(self.n, self.d), len(key)),
             )
         self._euclidean_cache[key] = rank
         return rank
@@ -86,16 +79,18 @@ class RigidityOracle:
         key = _canon(edges)
         return self.euclidean_rank(key) == len(key)
 
-    def _basis_game(self, basis: tuple[Pair, ...]) -> PebbleState:
-        """Pebble game with a canonical edge set inserted (pebble backend).
+    def game(self, edges: Iterable[Sequence[int]] = ()) -> PebbleState | NumericGame:
+        """Independence game on the oracle's (n, d) with the edges inserted
+        in order: the pebble game in the plane, a `NumericGame` above it."""
+        state = PebbleState(self.n) if self.d == 2 else NumericGame(self)
+        state.insert_all(edges)
+        return state
 
-        The game of the last edge set asked for is kept, so circuit
-        queries on one basis share it.
-        """
+    def _basis_game(self, basis: tuple[Pair, ...]) -> PebbleState | NumericGame:
+        """Game of a canonical edge set. The game of the last edge set asked
+        for is kept, so circuit queries on one basis share it."""
         if self._game is None or self._game[0] != basis:
-            state = PebbleState(self.n)
-            state.insert_all(basis)
-            self._game = (basis, state)
+            self._game = (basis, self.game(basis))
         return self._game[1]
 
     # -- conic queries (always numeric) -----------------------------------
@@ -108,18 +103,44 @@ class RigidityOracle:
         return (conic_rigidity_matrix(ConicFramework(dg, p)) for p in self._configs)
 
     def conic_rank(self, cg: ConicGraph) -> int:
-        """Largest numeric conic rank over the configurations, stopping
-        at the first that reaches min(s_conic(n, d), arc count), which
-        no configuration can exceed."""
-        if cg.n != self.n:
-            raise ValueError("vertex count mismatch")
+        """Largest numeric conic rank over the configurations, at most
+        min(s_conic(n, d), arc count)."""
         ceiling = min(s_conic(self.n, self.d), cg.edge_count)
-        rank = 0
-        for m in self.conic_matrices(orient(cg)):
-            rank = max(rank, numeric_rank(m, self.policy.rel_tol).rank)
-            if rank == ceiling:
-                break
-        return rank
+        return self._generic_rank(self.conic_matrices(orient(cg)), ceiling)
+
+
+class NumericGame:
+    """Independence game for d >= 3 with the interface of `PebbleState`.
+    Every test is an `oracle.euclidean_rank` query, memo included."""
+
+    def __init__(self, oracle: RigidityOracle):
+        self.oracle = oracle
+        self.accepted: list[Pair] = []
+
+    def try_insert(self, u: int, w: int) -> bool:
+        """Insert edge {u, w} if it is independent; report success."""
+        e = normalize_edge((u, w))
+        if self.oracle.euclidean_rank(self.accepted + [e]) != len(self.accepted) + 1:
+            return False
+        self.accepted.append(e)
+        return True
+
+    def insert_all(self, edges: Iterable[Sequence[int]]) -> int:
+        """Insert edges in the given order; return how many were accepted."""
+        return sum(self.try_insert(*e) for e in edges)
+
+    def circuit(self, u: int, w: int) -> tuple[Pair, ...]:
+        """Accepted edges e for which accepted - e + {u, w} is independent,
+        sorted; empty when {u, w} is independent of the accepted edges."""
+        uv = normalize_edge((u, w))
+        k = len(self.accepted)
+        rank = self.oracle.euclidean_rank
+        if rank(self.accepted + [uv]) == k + 1:
+            return ()
+        return tuple(
+            e for e in sorted(self.accepted)
+            if rank([f for f in self.accepted if f != e] + [uv]) == k
+        )
 
 
 def extend_to_minimally_rigid(
@@ -134,40 +155,16 @@ def extend_to_minimally_rigid(
     """
     target = s_euclidean(oracle.n, oracle.d)
     seed = _canon(seed_edges)
-    if not oracle.is_independent(seed):
+    game = oracle.game(seed)
+    if len(game.accepted) < len(seed):
         raise ValueError("seed edge set is dependent")
-    current = list(seed)
-    chosen = set(seed)
-    if oracle.backend == "pebble":
-        state = PebbleState(oracle.n)
-        for e in seed:
-            if not state.try_insert(*e):
-                raise ValueError("seed edge set is dependent")
-        for e in pool_edges:
-            if len(current) >= target:
-                break
-            e = normalize_edge(e)
-            if e in chosen:
-                continue
-            if state.try_insert(*e):
-                current.append(e)
-                chosen.add(e)
-    else:
-        for e in pool_edges:
-            if len(current) >= target:
-                break
-            e = normalize_edge(e)
-            if e in chosen:
-                continue
-            if oracle.euclidean_rank(current + [e]) == len(current) + 1:
-                current.append(e)
-                chosen.add(e)
-    if len(current) < target:
-        raise ValueError(
-            f"pool exhausted at rank {oracle.euclidean_rank(current)}; "
-            f"need {target}"
-        )
-    return tuple(sorted(current))
+    for e in pool_edges:
+        if len(game.accepted) >= target:
+            break
+        game.try_insert(*normalize_edge(e))
+    if len(game.accepted) < target:
+        raise ValueError(f"pool exhausted at rank {len(game.accepted)}; need {target}")
+    return tuple(sorted(game.accepted))
 
 
 def fundamental_circuit(
@@ -176,34 +173,18 @@ def fundamental_circuit(
     """Edges of a minimally rigid basis that generate uv: exactly those
     e for which basis - e + uv is again independent.
 
-    The pebble backend reads them from one game on the basis, kept by the
-    oracle for later queries: the accepted edges inside the minimal tight
-    set holding u and v (`PebbleState.circuit`). The numeric backend tests
-    basis - e + uv for every e.
+    They are read from one game on the basis, kept by the oracle for
+    later queries (`PebbleState.circuit` in the plane, `NumericGame.circuit`
+    above it).
     """
     b = _canon(basis)
     uv = normalize_edge(uv)
-    game = None
-    if len(b) != s_euclidean(oracle.n, oracle.d):
-        independent = False
-    elif oracle.backend == "pebble":
-        game = oracle._basis_game(b)
-        independent = len(game.accepted) == len(b)
-    else:
-        independent = oracle.is_independent(b)
-    if not independent:
+    game = oracle._basis_game(b)
+    if len(b) != s_euclidean(oracle.n, oracle.d) or len(game.accepted) != len(b):
         raise ValueError("basis is not minimally rigid")
     if uv in b:
         raise ValueError(f"edge {uv} already in the basis")
-    if game is not None:
-        return game.circuit(*uv)
-    bset = set(b)
-    circuit = []
-    for e in b:
-        candidate = (bset - {e}) | {uv}
-        if oracle.is_independent(candidate):
-            circuit.append(e)
-    return tuple(circuit)
+    return game.circuit(*uv)
 
 
 def swap(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -312,6 +313,26 @@ def test_malformed_field_types_are_errors(tmp_path, capsys, data, field):
     path = dump(tmp_path, "malformed.json", data)
     for command in ("check", "decompose"):
         assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        (_with_vertex(PINNED_FILE, position=[float("nan"), 0.0]), "vertex 'a' coordinate"),
+        (_with_vertex(quad_file(QUAD_RIGID_COORDS), position=[float("inf")]),
+         "vertex 'v0' coordinate"),
+        (_with_vertex(PINNED_FILE, bias=float("nan")), "vertex 'a' bias"),
+    ],
+    ids=["nan-position", "infinite-position", "nan-bias"],
+)
+def test_non_finite_numbers_are_errors(tmp_path, capsys, data, field):
+    path = dump(tmp_path, "non_finite.json", data)  # json writes NaN and Infinity
+    for command in ("check", "decompose"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 

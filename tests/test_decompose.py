@@ -14,6 +14,7 @@ from conicrig import (
     RigidityOracle,
     conic_class,
     decompose,
+    extend_to_minimally_rigid,
     initial_decomposition,
     is_conic_graph_rigid,
     is_decomposition_of,
@@ -59,6 +60,44 @@ def test_initial_decomposition_of_the_family_fixture():
     assert is_decomposition_of(dec, GAMMA5)
     assert laman_rigid(dec.g)
     assert dec.h.m == 4
+
+
+def test_initial_decomposition_plays_one_game(monkeypatch):
+    # the double edges, then the simple edges, go through one pebble game
+    games = []
+    init = PebbleState.__post_init__
+
+    def counted_init(self):
+        games.append(self.n)
+        init(self)
+
+    monkeypatch.setattr(PebbleState, "__post_init__", counted_init)
+    dec = initial_decomposition(GAMMA5, RigidityOracle(5, 2))
+    assert dec.g.edges == GAMMA5_INITIAL_G
+    assert games == [5]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_initial_g_is_the_greedy_extension_of_the_double_edges(d):
+    rng = np.random.default_rng(40 + d)
+    sizes = [int(n) for n in rng.integers(4, 9, size=30)]
+    graphs = [random_conic_graph(rng, n, s_conic(n, d)) for n in sizes]
+    if d == 2:
+        # a doubled K4 is dependent in the plane, though its ears would
+        # still lift the rank to s_euclidean(8, 2)
+        k4 = [(u, w) for u in range(4) for w in range(u + 1, 4)]
+        graphs.append(ConicGraph(8, [(a, v) for v in range(4, 8) for a in (0, 1)], k4))
+    outcomes = set()
+    for cg in graphs:
+        oracle = RigidityOracle(cg.n, d)
+        dec = initial_decomposition(cg, oracle)
+        try:
+            g = extend_to_minimally_rigid(cg.double_edges, sorted(cg.simple_edges), oracle)
+        except ValueError:
+            g = None
+        assert (dec.g.edges if dec else None) == g
+        outcomes.add(g is None)
+    assert outcomes == {True, False}
 
 
 def test_initial_decomposition_needs_exact_count():

@@ -14,7 +14,10 @@ from conicrig import (
     s_euclidean,
     swap,
 )
+from conicrig.graphs import normalize_edge
+from conicrig.matroid import NumericGame
 from conicrig.pebble import PebbleState
+from conicrig.rigidity import euclidean_rigidity_matrix, numeric_rank
 from golden import G1, G2, G2_CIRCUIT_12, GAMMA5
 from oracles import sparsity_independent, sparsity_rank
 
@@ -29,22 +32,28 @@ def edge_sets(max_n=7):
     return st.integers(3, max_n).flatmap(build)
 
 
+def numeric_reference_rank(oracle, edges):
+    """Largest numeric Euclidean rank of the edges over all of the oracle's
+    configurations, each one factored."""
+    key = sorted({normalize_edge(e) for e in edges})
+    return max(
+        numeric_rank(euclidean_rigidity_matrix(key, p), oracle.policy.rel_tol).rank
+        for p in oracle._configs
+    )
+
+
 def test_oracle_rejects_the_line():
     with pytest.raises(ValueError):
         RigidityOracle(4, 1)
-    with pytest.raises(ValueError):
-        RigidityOracle(4, 3, backend="pebble")
-    with pytest.raises(ValueError):
-        RigidityOracle(4, 2, backend="cholesky")
 
 
 @given(edge_sets())
 @settings(max_examples=50)
 def test_backends_agree_in_the_plane(ne):
+    # the pebble game in the plane against numeric rank at the same oracle
     n, edges = ne
-    pebble = RigidityOracle(n, 2, backend="pebble")
-    numeric = RigidityOracle(n, 2, backend="numeric")
-    assert pebble.euclidean_rank(edges) == numeric.euclidean_rank(edges)
+    oracle = RigidityOracle(n, 2)
+    assert oracle.euclidean_rank(edges) == numeric_reference_rank(oracle, edges)
 
 
 def test_euclidean_rank_caches_consistently():
@@ -63,17 +72,22 @@ def test_conic_rank_of_the_family_fixture():
     assert oracle.conic_rank(smaller) == smaller.edge_count == 10
 
 
-def test_conic_rank_stops_at_the_first_configuration_reaching_its_ceiling(
-    monkeypatch,
-):
-    svd = np.linalg.svd
-    calls = []
+def counted_svds(monkeypatch):
+    """A list that grows by one entry per SVD taken from now on."""
+    svd, calls = np.linalg.svd, []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_conic_rank_stops_at_the_first_configuration_reaching_its_ceiling(
+    monkeypatch,
+):
+    calls = counted_svds(monkeypatch)
     oracle = RigidityOracle(5, 2)
     # rigid with s_conic(5, 2) arcs: the first configuration settles it
     assert oracle.conic_rank(GAMMA5) == 11
@@ -126,6 +140,36 @@ def test_extend_numeric_backend_d3():
     basis = extend_to_minimally_rigid([], pool, oracle)
     assert len(basis) == s_euclidean(5, 3) == 9
     assert oracle.is_independent(basis)
+
+
+def test_numeric_euclidean_rank_stops_at_its_ceiling(monkeypatch):
+    calls = counted_svds(monkeypatch)
+    oracle = RigidityOracle(6, 3)
+    basis = [(u, w) for u in range(3) for w in range(u + 1, 6)]
+    # independent: the first configuration reaches min(s_euclidean, |E|)
+    assert oracle.euclidean_rank(basis) == len(basis) == s_euclidean(6, 3)
+    assert len(calls) == 1
+    # K5 has rank 9 < 10 edges: no configuration reaches the ceiling
+    k5 = [(u, w) for u in range(5) for w in range(u + 1, 5)]
+    del calls[:]
+    assert oracle.euclidean_rank(k5) == 9
+    assert len(calls) == oracle.policy.trials == 5
+
+
+def test_numeric_game_counts_its_svds(monkeypatch):
+    # one SVD per set whose rank reaches min(s_euclidean, |E|), 5 for the rest
+    calls = counted_svds(monkeypatch)
+    oracle = RigidityOracle(6, 3)
+    basis = extend_to_minimally_rigid([], _pairs(6), oracle)
+    assert len(calls) == len(basis) == 12  # every edge tried is accepted
+    outside = [uv for uv in _pairs(6) if uv not in basis]
+    del calls[:]
+    circuits = [fundamental_circuit(basis, uv, oracle) for uv in outside]
+    # per circuit: uv against the basis (rank s_euclidean, 1), 9 circuit
+    # edges (1 each) and 3 edges outside it (5 each); the basis game's
+    # prefixes are extend's, already in the memo
+    assert [len(c) for c in circuits] == [9, 9, 9]
+    assert len(calls) == 3 * (1 + 9 + 3 * 5) == 75
 
 
 def test_fundamental_circuit_definition():
@@ -204,6 +248,36 @@ def test_circuits_on_two_bases_through_one_oracle():
             assert fundamental_circuit(b, uv, oracle) == want[k]
 
 
+def _exchange_circuit_3d(n, basis, uv):
+    """{e in basis : basis - e + uv independent}, each candidate decided by
+    a fresh oracle's one-shot Euclidean rank."""
+    return tuple(
+        e for e in basis
+        if RigidityOracle(n, 3).is_independent([f for f in basis if f != e] + [uv])
+    )
+
+
+@st.composite
+def spatial_bases(draw, min_n=5, max_n=8):
+    n = draw(st.integers(min_n, max_n))
+    pool = draw(st.permutations(_pairs(n)))
+    return n, extend_to_minimally_rigid([], pool, RigidityOracle(n, 3))
+
+
+@given(spatial_bases())
+@settings(max_examples=8)
+def test_spatial_circuits_match_the_exchange_definition(nb):
+    n, basis = nb
+    oracle = RigidityOracle(n, 3)
+    for uv in _pairs(n):
+        if uv not in basis:
+            assert fundamental_circuit(basis, uv, oracle) == _exchange_circuit_3d(n, basis, uv)
+    # an edge independent of the accepted ones has no circuit
+    game = oracle.game(basis[1:])
+    assert isinstance(game, NumericGame)
+    assert game.circuit(*basis[0]) == ()
+
+
 def test_swap_reproduces_the_companion_basis():
     oracle = RigidityOracle(5, 2)
     assert swap(G2.edges, (1, 2), (2, 4), oracle) == G1.edges
@@ -223,5 +297,4 @@ def test_swap_rejects_a_non_generating_edge():
 @settings(max_examples=40)
 def test_numeric_euclidean_rank_matches_counting(ne):
     n, edges = ne
-    oracle = RigidityOracle(n, 2, backend="numeric")
-    assert oracle.euclidean_rank(edges) == sparsity_rank(n, edges)
+    assert numeric_reference_rank(RigidityOracle(n, 2), edges) == sparsity_rank(n, edges)

@@ -42,3 +42,13 @@ def test_verdict_agreement_counts_and_exit_status():
     assert int(trials.group(1)) + int(trials.group(2)) + sum(counts) == 30
     assert re.search(r"^decomposition time: .*s  numeric time: .*s$", out, re.M)
     assert done.returncode == (1 if any(counts) else 0)
+
+
+def test_verdict_agreement_in_space():
+    # the numeric independence game end to end, against the conic rank
+    done = run_script("verdict_agreement.py", "--d", "3", "--trials", "20", "--max-n", "8")
+    assert done.returncode == 0, done.stdout + done.stderr
+    out = done.stdout
+    assert re.search(r"^trials: 20  rigid: \d+  flexible: \d+$", out, re.M), out
+    for label in ("disagreements", "DecompositionInvariantError", "CrossCheckError"):
+        assert re.search(rf"^{label}: 0$", out, re.M), out
