@@ -128,10 +128,14 @@ def _positive_int(data: dict, key: str) -> int:
 
 
 def _number(value, what: str) -> float:
+    # type(), not isinstance: bool is an int. Two `is` tests run per
+    # coordinate at half the cost of `in (int, float)`, which builds a tuple
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not a number")
     try:
         x = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} {value!r} is not a number") from None
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"{what} {value!r} is not finite")
     return x
@@ -458,7 +462,7 @@ def cmd_flex_demo(args) -> int:
         residuals = "  ".join(f"{r:.2e}" for r in found.residuals)
         print(f"constraint residuals at B: {residuals}")
         if found.degenerate:
-            print("the two placements coincide (mirror-symmetric configuration)")
+            print("no second placement")
         return 0
 
     if args.kind == "hyperbola":
@@ -515,14 +519,29 @@ def cmd_random(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    x = float(text)
+    if not 0.0 < x < 1.0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not a relative cutoff in (0, 1)")
+    return x
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
-        "--tol", type=float, default=1e-10, help="relative SVD cutoff (default 1e-10)"
+        "--tol", type=_tolerance, default=1e-10,
+        help="relative SVD cutoff in (0, 1) (default 1e-10)",
     )
     seeds = argparse.ArgumentParser(add_help=False)
     seeds.add_argument(
-        "--seeds", type=int, default=5,
+        "--seeds", type=_count, default=5,
         help="random configurations per generic rank query (default 5)",
     )
     seed = argparse.ArgumentParser(add_help=False)

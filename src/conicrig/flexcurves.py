@@ -6,15 +6,18 @@ slides along a conic with the fixed agents as foci. When both single
 arcs point the same way relative to the moving agent the bias cancels
 in the difference of distances (hyperbola branch); otherwise it
 cancels in the sum (ellipse). Adding a fourth agent with single arcs
-to a doubly-connected triangle pins it to finitely many placements,
-generically two.
+to a doubly-connected triangle pins it: each tie is a pseudo-range
+equation |x - x_v| = c_v + eps_v * beta, and subtracting the squared
+first tie from the other two leaves a line in (x, beta) on which the
+first tie is one quadratic. So there are at most two placements, the
+given one and possibly one more (Bancroft's algebraic GPS solution).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -64,8 +67,8 @@ class SecondPlacement:
     position: np.ndarray
     bias: float
     residuals: tuple[float, float, float]
-    solutions: tuple[np.ndarray, ...]  # all placements found, original included
-    degenerate: bool  # both intersections coincide
+    solutions: tuple[np.ndarray, ...]  # the given placement, then the other if any
+    degenerate: bool  # no other placement: a double root or a negative distance
 
 
 def _single_arc_pattern(fw: ConicFramework) -> tuple[int, int, int, Pair, Pair]:
@@ -90,10 +93,13 @@ def _single_arc_pattern(fw: ConicFramework) -> tuple[int, int, int, Pair, Pair]:
     return a, b, m, arc_a[0], arc_b[0]
 
 
-def _bias_sign(arc: Pair, m: int) -> float:
-    """Sign of the moving agent's bias in the arc constraint: +1 when m
-    receives (head), -1 when m emits (tail)."""
-    return 1.0 if arc[1] == m else -1.0
+def _tie(fw: ConicFramework, v: int, arc: Pair, m: int) -> tuple[float, float]:
+    """The arc between fixed agent v and moving agent m keeps its
+    pseudo-range exactly when |x_m - x_v| = c + eps * beta_m; return
+    (c, eps): eps = -1 when m receives the arc, +1 when it emits it."""
+    rho = pseudo_range(fw.config.point(arc[0]), fw.config.point(arc[1]))
+    beta_v = float(fw.config.biases[v])
+    return (rho + beta_v, -1.0) if arc[1] == m else (rho - beta_v, 1.0)
 
 
 def build_flex_curve(fw: ConicFramework) -> ConicCurveFlex:
@@ -103,7 +109,8 @@ def build_flex_curve(fw: ConicFramework) -> ConicCurveFlex:
     xa, xb, xm = pos[a], pos[b], pos[m]
     r_a = float(np.linalg.norm(xa - xm))
     r_b = float(np.linalg.norm(xb - xm))
-    same_side = _bias_sign(arc_a, m) == _bias_sign(arc_b, m)
+    c_a, eps_a = _tie(fw, a, arc_a, m)
+    same_side = eps_a == _tie(fw, b, arc_b, m)[1]
     kind = "hyperbola" if same_side else "ellipse"
     constant = r_a - r_b if same_side else r_a + r_b
 
@@ -132,18 +139,9 @@ def build_flex_curve(fw: ConicFramework) -> ConicCurveFlex:
         branch = 1.0
         base_t = math.atan2(proj_v / semi_b, proj_u / semi_a)
 
-    # preserve the pseudo-range along the arc at focus a exactly
-    pa, pm = fw.config.point(a), fw.config.point(m)
-    rho_a = pseudo_range(pa, pm) if arc_a == (a, m) else pseudo_range(pm, pa)
-    beta_a = fw.config.biases[a]
-    sign = _bias_sign(arc_a, m)
-
     def bias_fn(x: np.ndarray) -> float:
-        dist = float(np.linalg.norm(np.asarray(x, dtype=float) - xa))
-        # head: rho = dist + beta_m - beta_a; tail: rho = dist + beta_a - beta_m
-        if sign > 0:
-            return rho_a - dist + beta_a
-        return beta_a + dist - rho_a
+        # keeps the pseudo-range along the arc at focus a exactly
+        return eps_a * (float(np.linalg.norm(np.asarray(x, dtype=float) - xa)) - c_a)
 
     curve = ConicCurveFlex(
         kind=kind,
@@ -210,149 +208,49 @@ def _pinned_pattern(fw: ConicFramework) -> tuple[int, list[tuple[int, Pair]]]:
     return m, ties
 
 
-def _pair_constraint(
-    fw: ConicFramework, m: int, tie_i: tuple[int, Pair], tie_j: tuple[int, Pair]
-) -> Callable[[np.ndarray], float]:
-    """Scalar locus equation from two ties: the bias of the moving agent
-    cancels in a difference (same arc sense) or a sum (opposite)."""
-    i, arc_i = tie_i
-    j, arc_j = tie_j
-    pos = fw.config.positions
-    eps = -1.0 if _bias_sign(arc_i, m) == _bias_sign(arc_j, m) else 1.0
-    k0 = float(
-        np.linalg.norm(pos[i] - pos[m]) + eps * np.linalg.norm(pos[j] - pos[m])
-    )
-
-    def f(x: np.ndarray) -> float:
-        return (
-            float(np.linalg.norm(x - pos[i]))
-            + eps * float(np.linalg.norm(x - pos[j]))
-            - k0
-        )
-
-    return f
-
-
-def _newton2(
-    funcs, start: np.ndarray, max_iter: int = 60, tol: float = 1e-13
-) -> Optional[np.ndarray]:
-    """Damped Newton on two scalar equations in the plane."""
-    f1, f2, grads = funcs
-
-    def value(x):
-        return np.array([f1(x), f2(x)])
-
-    x = np.array(start, dtype=float)
-    fx = value(x)
-    for _ in range(max_iter):
-        if np.linalg.norm(fx) <= tol:
-            return x
-        j = grads(x)
-        try:
-            step = np.linalg.solve(j, -fx)
-        except np.linalg.LinAlgError:
-            return None
-        scale = 1.0
-        for _ in range(30):
-            x_new = x + scale * step
-            f_new = value(x_new)
-            if np.linalg.norm(f_new) < np.linalg.norm(fx):
-                x, fx = x_new, f_new
-                break
-            scale *= 0.5
-        else:
-            return None
-    return x if np.linalg.norm(fx) <= tol else None
-
-
 def locate_second_intersection(fw: ConicFramework) -> SecondPlacement:
     """Find the other placement of the pinned fourth agent.
 
-    Root-finds on two of the three pairwise locus equations (damped
-    Newton, starting from the reflection of the agent across the line
-    through the first two fixed agents, then a coarse grid) and checks
-    the third equation as a certificate. The bias is recomputed from
-    one arc; when the distances change, the bias must change too.
+    Each tie reads |x - x_v| = c_v + eps_v * beta in z = (x, beta).
+    Subtracting the squared first tie from the other two leaves two
+    linear equations in z; their solutions form the line through the
+    given placement along the cross product k of their rows. On that
+    line the first tie is a quadratic in t with the root t = 0, the
+    given placement. Its other root is a placement when every distance
+    c_v + eps_v * beta it asks for is non-negative.
     """
     m, ties = _pinned_pattern(fw)
     pos = fw.config.positions
-    xm = pos[m]
-    fs = [
-        _pair_constraint(fw, m, ties[0], ties[1]),
-        _pair_constraint(fw, m, ties[0], ties[2]),
-        _pair_constraint(fw, m, ties[1], ties[2]),
-    ]
-
+    xm, beta_m = pos[m].copy(), float(fw.config.biases[m])
     anchors = [pos[v] for v, _ in ties]
+    models = [_tie(fw, v, arc, m) for v, arc in ties]
+    (c0, e0), x0 = models[0], anchors[0]
+    rows = [np.append(x - x0, c * e - c0 * e0) for x, (c, e) in zip(anchors[1:], models[1:])]
+    k = np.cross(rows[0], rows[1])
+    if np.linalg.norm(k) <= 1e-12 * np.linalg.norm(rows[0]) * np.linalg.norm(rows[1]):
+        raise ValueError("the ties do not pin the moving agent: parallel equations")
 
-    def grads(x):
-        # rows: gradients of the two equations used by Newton
-        rows = []
-        for (i, arc_i), (j, arc_j) in ((ties[0], ties[1]), (ties[0], ties[2])):
-            eps = -1.0 if _bias_sign(arc_i, m) == _bias_sign(arc_j, m) else 1.0
-            gi = (x - pos[i]) / np.linalg.norm(x - pos[i])
-            gj = (x - pos[j]) / np.linalg.norm(x - pos[j])
-            rows.append(gi + eps * gj)
-        return np.array(rows)
-
-    def solve_from(start):
-        x = _newton2((fs[0], fs[1], grads), start)
-        if x is None:
-            return None
-        if abs(fs[2](x)) > 1e-8:
-            return None
-        return x
-
-    # mirror across the line through the first two anchors
-    base, along = anchors[0], anchors[1] - anchors[0]
-    along = along / np.linalg.norm(along)
-    rel = xm - base
-    mirror = base + 2.0 * (rel @ along) * along - rel
-
-    solutions = [xm.copy()]
-
-    def register(x):
-        if x is None:
-            return
-        for known in solutions:
-            if np.linalg.norm(x - known) <= 1e-6:
-                return
-        solutions.append(x)
-
-    register(solve_from(mirror))
-    if len(solutions) < 2:
-        lo = np.min(np.array(anchors + [xm]), axis=0)
-        hi = np.max(np.array(anchors + [xm]), axis=0)
-        pad = 0.75 * (hi - lo + 1.0)
-        for gx in np.linspace(lo[0] - pad[0], hi[0] + pad[0], 7):
-            for gy in np.linspace(lo[1] - pad[1], hi[1] + pad[1], 7):
-                register(solve_from(np.array([gx, gy])))
-
-    degenerate = len(solutions) == 1
-    second = solutions[0] if degenerate else solutions[1]
-
-    # recompute the bias from the lexicographically first tie
-    v0, arc0 = ties[0]
-    p_v0, p_m = fw.config.point(v0), fw.config.point(m)
-    rho0 = pseudo_range(p_v0, p_m) if arc0 == (v0, m) else pseudo_range(p_m, p_v0)
-    dist = float(np.linalg.norm(second - pos[v0]))
-    beta_v0 = fw.config.biases[v0]
-    if _bias_sign(arc0, m) > 0:
-        bias = rho0 - dist + beta_v0
-    else:
-        bias = beta_v0 + dist - rho0
-
-    old_dist = float(np.linalg.norm(xm - pos[v0]))
-    if abs(dist - old_dist) > 1e-9:
-        assert abs(bias - fw.config.biases[m]) > 0, "distances moved but bias did not"
-
-    residuals = tuple(abs(f(second)) for f in fs)
+    # |x - x0|^2 - (c0 + e0 * beta)^2 at z = (xm, beta_m) + t * k is t * (qa * t + qb)
+    r0 = c0 + e0 * beta_m
+    qa = float(k[:2] @ k[:2] - k[2] ** 2)
+    qb = float(2.0 * ((xm - x0) @ k[:2] - r0 * e0 * k[2]))
+    position, bias, solutions = xm, beta_m, (xm,)
+    if qa != 0.0:
+        t = -qb / qa
+        x, beta = xm + t * k[:2], beta_m + t * float(k[2])
+        moved = np.linalg.norm(x - xm) > 1e-9 * max(c + e * beta_m for c, e in models)
+        if moved and all(c + e * beta >= 0.0 for c, e in models):
+            position, bias, solutions = x, beta, (xm, x)
+    residuals = tuple(
+        abs(float(np.linalg.norm(position - xv)) - c - e * bias)
+        for xv, (c, e) in zip(anchors, models)
+    )
     return SecondPlacement(
-        position=second,
-        bias=float(bias),
+        position=position,
+        bias=bias,
         residuals=residuals,  # type: ignore[arg-type]
-        solutions=tuple(solutions),
-        degenerate=degenerate,
+        solutions=solutions,
+        degenerate=len(solutions) == 1,
     )
 
 

@@ -303,10 +303,14 @@ def _with_vertex(data, **fields):
         (dict(GAMMA5_FILE, double_edges=[[1, ["a"]]]), "double edge"),
         (_with_vertex(PINNED_FILE, bias=[1]), "bias"),
         (_with_vertex(PINNED_FILE, position=[None, 0.0]), "coordinate"),
+        (_with_vertex(PINNED_FILE, position=["1e3", 0.0]), "vertex 'a' coordinate"),
+        (_with_vertex(PINNED_FILE, position=[True, 0.0]), "vertex 'a' coordinate"),
+        (_with_vertex(PINNED_FILE, bias="0.5"), "vertex 'a' bias"),
         (dict(quad_file(QUAD_RIGID_COORDS), dimension=True), "dimension"),
         (dict(GAMMA5_FILE, dimension=True), "dimension"),
     ],
     ids=["arcs", "simple-edges", "arc-id", "double-edge-id", "bias", "coordinate",
+         "string-coordinate", "boolean-coordinate", "string-bias",
          "dimension-framework", "dimension-graph"],
 )
 def test_malformed_field_types_are_errors(tmp_path, capsys, data, field):
@@ -324,8 +328,9 @@ def test_malformed_field_types_are_errors(tmp_path, capsys, data, field):
         (_with_vertex(quad_file(QUAD_RIGID_COORDS), position=[float("inf")]),
          "vertex 'v0' coordinate"),
         (_with_vertex(PINNED_FILE, bias=float("nan")), "vertex 'a' bias"),
+        (_with_vertex(PINNED_FILE, position=[10**400, 0.0]), "vertex 'a' coordinate"),
     ],
-    ids=["nan-position", "infinite-position", "nan-bias"],
+    ids=["nan-position", "infinite-position", "nan-bias", "huge-integer-position"],
 )
 def test_non_finite_numbers_are_errors(tmp_path, capsys, data, field):
     path = dump(tmp_path, "non_finite.json", data)  # json writes NaN and Infinity
@@ -335,6 +340,28 @@ def test_non_finite_numbers_are_errors(tmp_path, capsys, data, field):
             assert main([command, path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "FILE", "--tol", "nan"], "--tol"),
+        (["check", "FILE", "--tol", "-1"], "--tol"),
+        (["check", "FILE", "--tol", "0"], "--tol"),
+        (["decompose", "FILE", "--seeds", "0"], "--seeds"),
+        (["decompose", "FILE", "--seeds", "-2"], "--seeds"),
+        (["design", "6", "--seeds", "0"], "--seeds"),
+    ],
+    ids=["tol-nan", "tol-negative", "tol-zero", "decompose-seeds-zero",
+         "decompose-seeds-negative", "design-seeds-zero"],
+)
+def test_numeric_flags_out_of_range_are_usage_errors(tmp_path, capsys, argv, flag):
+    path = str(tmp_path / "random.json")
+    assert main(["random", "6", "20", "--out", path]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([path if a == "FILE" else a for a in argv])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_log_level_env_is_validated(monkeypatch, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conicrig import (
     Configuration,
@@ -23,6 +25,7 @@ from conicrig.flexcurves import (
 from golden import PINNED_SECOND_BIAS, PINNED_SECOND_POSITION
 
 SQRT5, SQRT13 = math.sqrt(5.0), math.sqrt(13.0)
+TRIANGLE = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
 
 
 def moved_framework(fw, moving, position, bias):
@@ -144,3 +147,105 @@ def test_second_placement_preserves_every_pseudo_range():
     # genuinely a different placement with a different bias
     assert np.linalg.norm(found.position - fw.config.positions[3]) > 0.5
     assert abs(found.bias - fw.config.biases[3]) > 0.1
+
+
+def pinned(positions, biases, ties):
+    """Doubly connected triangle 0-1-2 with agent 3 tied by the arcs ties."""
+    return ConicFramework(
+        DirectedGraph(4, TRIANGLE + list(ties)),
+        Configuration(np.array(positions, dtype=float), np.array(biases, dtype=float)),
+    )
+
+
+def pseudo_range_drift(fw, found):
+    moved = moved_framework(fw, 3, found.position, found.bias)
+    return float(np.max(np.abs(arc_pseudo_ranges(moved) - arc_pseudo_ranges(fw))))
+
+
+def test_second_placement_of_a_far_mover():
+    fw = pinned(
+        [(1.861, 1.491), (2.857, 1.103), (0.421, 1.054), (2.207, 39.589)],
+        (-0.157, 0.391, 0.005, 0.433),
+        [(3, 0), (3, 1), (3, 2)],
+    )
+    found = locate_second_intersection(fw)
+    assert not found.degenerate
+    assert found.position == pytest.approx([1.69262, 0.65034], abs=1e-5)
+    assert found.bias == pytest.approx(-36.8092, abs=1e-4)
+    assert pseudo_range_drift(fw, found) <= 1e-9
+
+
+def test_a_root_asking_for_negative_distances_is_no_placement():
+    # the quadratic's other root sits near (1.545, -0.727) with bias about
+    # -4.28, where c_v + eps_v * bias < 0: no distance can match it
+    fixture = make_pinned_framework()
+    fw = pinned(fixture.config.positions, fixture.config.biases, [(3, 0), (3, 1), (3, 2)])
+    found = locate_second_intersection(fw)
+    assert found.degenerate
+    assert len(found.solutions) == 1
+    assert np.array_equal(found.position, fw.config.positions[3])
+
+
+def test_collinear_anchors_give_the_mirror_placement():
+    fw = pinned(
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.5, 1.0)],
+        (0.0, 0.3, -0.1, 0.2),
+        [(0, 3), (3, 1), (2, 3)],
+    )
+    found = locate_second_intersection(fw)
+    assert not found.degenerate
+    assert found.position == pytest.approx([1.5, -1.0], abs=1e-12)
+    assert found.bias == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("mover", [(3.0, 0.0), (0.5, 0.0), (-1.0, 0.0)])
+def test_an_agent_on_the_anchors_line_is_its_own_mirror(mover):
+    # the quadratic's two roots coincide: one placement, not two
+    fw = pinned(
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), mover],
+        (0.0, 0.3, -0.1, 0.2),
+        [(0, 3), (3, 1), (2, 3)],
+    )
+    found = locate_second_intersection(fw)
+    assert found.degenerate
+    assert len(found.solutions) == 1
+    assert max(found.residuals) <= 1e-12
+
+
+def test_ties_that_do_not_pin_the_agent_are_refused():
+    # on the anchors' line every tie differs from the next by the same
+    # distance, so the two linear equations coincide and agent 3 slides
+    fw = pinned(
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)],
+        (0.0, 0.3, -0.1, 0.2),
+        [(0, 3), (1, 3), (2, 3)],
+    )
+    with pytest.raises(ValueError, match="do not pin"):
+        locate_second_intersection(fw)
+
+
+coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+point = st.tuples(coordinate, coordinate)
+
+
+@settings(max_examples=60)
+@given(
+    anchors=st.tuples(point, point, point),
+    mover=point,
+    scale=st.sampled_from([0.2, 1.0, 10.0]),
+    biases=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 4),
+    emits=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+)
+def test_every_placement_found_keeps_all_pseudo_ranges(anchors, mover, scale, biases, emits):
+    positions = np.vstack([anchors, np.multiply(mover, scale)])
+    (x0, y0), (x1, y1), (x2, y2) = anchors
+    assume(abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) > 0.1)  # a triangle
+    assume(min(np.linalg.norm(positions[3] - positions[v]) for v in range(3)) > 0.1)
+    ties = [(3, v) if out else (v, 3) for v, out in enumerate(emits)]
+    fw = pinned(positions, biases, ties)
+    found = locate_second_intersection(fw)
+    assert np.array_equal(found.solutions[0], positions[3])
+    assert len(found.solutions) <= 2
+    assert found.degenerate == (len(found.solutions) == 1)
+    assert np.array_equal(found.position, found.solutions[-1])
+    assert pseudo_range_drift(fw, found) <= 1e-9
