@@ -6,7 +6,6 @@ from .decompose import (
     DecompositionTrace,
     decompose,
     initial_decomposition,
-    is_conic_graph_rigid,
 )
 from .flexcurves import (
     ConicCurveFlex,
@@ -44,7 +43,6 @@ from .pebble import laman_independent, laman_rank, laman_rigid
 from .rigidity import (
     RankReport,
     RigidityVerdict,
-    TolerancePolicy,
     conic_rigidity_matrix,
     euclidean_rigidity_matrix,
     is_infinitesimally_rigid,
@@ -71,7 +69,6 @@ __all__ = [
     "RankReport",
     "RigidityOracle",
     "RigidityVerdict",
-    "TolerancePolicy",
     "arc_pseudo_ranges",
     "build_flex_curve",
     "conic_class",
@@ -83,7 +80,6 @@ __all__ = [
     "flex_witness_1d",
     "fundamental_circuit",
     "initial_decomposition",
-    "is_conic_graph_rigid",
     "is_decomposition_of",
     "is_infinitesimally_rigid",
     "is_rigid_1d",

@@ -59,11 +59,9 @@ from .graphs import ConicGraph, DirectedGraph, EuclideanGraph
 from .matroid import RigidityOracle, extend_to_minimally_rigid
 from .onedim import flex_witness_1d, is_rigid_1d
 from .rigidity import (
-    TolerancePolicy,
-    conic_rigidity_matrix,
     is_infinitesimally_rigid,
     nontrivial_flex,
-    numeric_rank,
+    numeric_rank,  # not called here; perfbench/spans.py's test expects cli to bind it
     s_conic,
     s_euclidean,
 )
@@ -246,8 +244,8 @@ def _write_json(data: dict, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _policy(args) -> TolerancePolicy:
-    return TolerancePolicy(rel_tol=args.tol, trials=args.seeds, base_seed=args.seed)
+def _oracle(args, n: int, d: int) -> RigidityOracle:
+    return RigidityOracle(n, d, rel_tol=args.tol, trials=args.seeds, base_seed=args.seed)
 
 
 def _edge_names(ids, edges) -> str:
@@ -255,6 +253,9 @@ def _edge_names(ids, edges) -> str:
 
 
 # -- check --------------------------------------------------------------------
+
+# from here on the squared arc lengths of the constraint matrix overflow
+_MAX_COORDINATE = 1e150
 
 
 def _print_flex(ids, q: np.ndarray, n: int, d: int) -> None:
@@ -272,32 +273,35 @@ def cmd_check(args) -> int:
         raise ValueError("check needs agent positions; use decompose for graph files")
     fw, ids = loaded.framework, loaded.ids
     n, d = fw.n, fw.d
+    huge = np.flatnonzero(np.any(np.abs(fw.config.positions) >= _MAX_COORDINATE, axis=1))
+    if huge.size:
+        raise ValueError(
+            f"vertex {ids[huge[0]]!r} has a coordinate of magnitude {_MAX_COORDINATE:g} "
+            "or more, where squared arc lengths overflow"
+        )
     print(f"agents: {n}  dimension: {d}  arcs: {fw.graph.m}")
+    verdict = is_infinitesimally_rigid(fw, rel_tol=args.tol)
+    report = verdict.report
 
     if d == 1:
-        verdict = is_rigid_1d(fw)
-        required = s_conic(n, 1)
-        matrix = conic_rigidity_matrix(fw)
-        report = numeric_rank(matrix, rel_tol=args.tol)
-        agree = verdict.rigid == (report.rank == required)
-        print(f"increasing shadow components: {len(verdict.plus_components)}")
-        print(f"decreasing shadow components: {len(verdict.minus_components)}")
+        exact = is_rigid_1d(fw)
+        agree = exact.rigid == verdict.rigid
+        print(f"increasing shadow components: {len(exact.plus_components)}")
+        print(f"decreasing shadow components: {len(exact.minus_components)}")
         suffix = "agrees" if agree else "DISAGREES with the exact test"
-        print(f"numeric rank: {report.rank} / {required} ({suffix})")
+        print(f"numeric rank: {report.rank} / {verdict.required_rank} ({suffix})")
         if not agree:
             log.warning("exact and numeric 1-d verdicts disagree; trusting the exact test")
-        print(f"verdict: {'rigid' if verdict.rigid else 'flexible'}")
-        if verdict.rigid:
+        print(f"verdict: {'rigid' if exact.rigid else 'flexible'}")
+        if exact.rigid:
             return 0
         q = flex_witness_1d(fw)
         assert q is not None
-        residual = float(np.linalg.norm(matrix @ q))
+        residual = float(np.linalg.norm(verdict.matrix @ q))
         _print_flex(ids, q, n, 1)
         print(f"constraint residual of the flex: {residual:.3e}")
         return 1
 
-    verdict = is_infinitesimally_rigid(fw, policy=TolerancePolicy(rel_tol=args.tol))
-    report = verdict.report
     print(
         f"rank: {report.rank} / {verdict.required_rank} required  "
         f"(tolerance {report.tolerance_used:.3e}, spectrum gap {report.gap_ratio:.3g})"
@@ -311,7 +315,7 @@ def cmd_check(args) -> int:
     print(f"verdict: {'rigid' if verdict.rigid else 'flexible'}")
     if verdict.rigid:
         return 0
-    q = nontrivial_flex(fw, rel_tol=args.tol, verdict=verdict)
+    q = nontrivial_flex(fw, verdict)
     if q is not None:
         _print_flex(ids, q, n, d)
     return 1
@@ -334,7 +338,7 @@ def cmd_decompose(args) -> int:
     if d < 2:
         raise ValueError("decompose needs d >= 2; use check for frameworks on a line")
 
-    oracle = RigidityOracle(cg.n, d, policy=_policy(args))
+    oracle = _oracle(args, cg.n, d)
     dec, trace = decompose(cg, oracle)
     print(
         f"vertices: {cg.n}  dimension: {d}  arcs: {cg.edge_count} "
@@ -370,7 +374,7 @@ def cmd_design(args) -> int:
     rng = np.random.default_rng(args.seed)
     pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
     pool = [pairs[i] for i in rng.permutation(len(pairs))]
-    oracle = RigidityOracle(n, d, policy=_policy(args))
+    oracle = _oracle(args, n, d)
     basis = extend_to_minimally_rigid((), pool, oracle)
     basis_set = set(basis)
 
@@ -533,6 +537,13 @@ def _count(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
@@ -546,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument(
-        "--seed", type=int, default=42, help="base random seed (default 42)"
+        "--seed", type=_seed, default=42, help="base random seed (default 42)"
     )
 
     parser = argparse.ArgumentParser(

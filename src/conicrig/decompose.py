@@ -35,7 +35,7 @@ from .graphs import (
     find_cycle,
 )
 from .matroid import RigidityOracle, fundamental_circuit
-from .rigidity import TolerancePolicy, numeric_rank, s_conic, s_euclidean
+from .rigidity import numeric_rank, s_conic, s_euclidean
 
 
 class DecompositionInvariantError(RuntimeError):
@@ -290,7 +290,7 @@ def _trim_to_core(
         # a second copy (w, u) follows its first at i - 1 and needs it kept
         tested = len(kept) < target and (u < w or kept[-1:] == [i - 1])
         if tested and any(
-            numeric_rank(a[kept + [i]], oracle.policy.rel_tol).rank == len(kept) + 1
+            numeric_rank(a[kept + [i]], oracle.rel_tol).rank == len(kept) + 1
             for a in matrices
         ):
             kept.append(i)
@@ -395,15 +395,3 @@ def decompose(
         raise DecompositionInvariantError("result does not reassemble the input")
     return finish(dec, "")
 
-
-def is_conic_graph_rigid(
-    cg: ConicGraph,
-    d: int,
-    oracle: Optional[RigidityOracle] = None,
-    policy: TolerancePolicy = TolerancePolicy(),
-) -> bool:
-    """Boolean form of decompose."""
-    if oracle is None:
-        oracle = RigidityOracle(cg.n, d, policy=policy)
-    dec, _ = decompose(cg, oracle)
-    return dec is not None

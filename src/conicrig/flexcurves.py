@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frameworks import Configuration, ConicFramework, pseudo_range
+from .frameworks import Configuration, ConicFramework, conic_class, pseudo_range
 from .graphs import DirectedGraph, Pair
 
 
@@ -77,10 +77,7 @@ def _single_arc_pattern(fw: ConicFramework) -> tuple[int, int, int, Pair, Pair]:
     if fw.n != 3 or fw.d != 2 or fw.graph.m != 4:
         raise ValueError("expected 3 agents in the plane with 4 arcs")
     arcs = set(fw.graph.arcs)
-    double = [
-        (u, w) for u in range(3) for w in range(u + 1, 3)
-        if (u, w) in arcs and (w, u) in arcs
-    ]
+    double = conic_class(fw.graph).double_edges
     if len(double) != 1:
         raise ValueError("expected exactly one double edge")
     a, b = double[0]
@@ -188,11 +185,9 @@ def _pinned_pattern(fw: ConicFramework) -> tuple[int, list[tuple[int, Pair]]]:
         raise ValueError("expected 4 agents in the plane with 9 arcs")
     arcs = set(fw.graph.arcs)
     degree_double = {v: 0 for v in range(4)}
-    for u in range(4):
-        for w in range(u + 1, 4):
-            if (u, w) in arcs and (w, u) in arcs:
-                degree_double[u] += 1
-                degree_double[w] += 1
+    for u, w in conic_class(fw.graph).double_edges:
+        degree_double[u] += 1
+        degree_double[w] += 1
     movers = [v for v, deg in degree_double.items() if deg == 0]
     if len(movers) != 1 or any(degree_double[v] != 2 for v in range(4) if v != movers[0]):
         raise ValueError("expected a doubly connected triangle plus one loose agent")

@@ -19,7 +19,6 @@ from .frameworks import ConicFramework, random_generic_configuration, orient
 from .graphs import ConicGraph, DirectedGraph, Pair, normalize_edge
 from .pebble import PebbleState
 from .rigidity import (
-    TolerancePolicy,
     conic_rigidity_matrix,
     euclidean_rigidity_matrix,
     numeric_rank,
@@ -33,17 +32,21 @@ def _canon(edges: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
 
 
 class RigidityOracle:
-    """Rank and independence queries for edge sets on a fixed (n, d)."""
+    """Rank and independence queries for edge sets on a fixed (n, d); numeric
+    ranks cut at rel_tol and take the largest over `trials` configurations."""
 
-    def __init__(self, n: int, d: int, policy: TolerancePolicy = TolerancePolicy()):
+    def __init__(
+        self, n: int, d: int, rel_tol: float = 1e-10, trials: int = 5, base_seed: int = 42
+    ):
         if d < 2:
             raise ValueError("matroid oracle needs d >= 2; the line has its own test")
         self.n = int(n)
         self.d = int(d)
-        self.policy = policy
+        self.rel_tol = rel_tol
+        self.trials = trials
         self._configs = [
-            random_generic_configuration(self.n, self.d, policy.base_seed + i)
-            for i in range(policy.trials)
+            random_generic_configuration(self.n, self.d, base_seed + i)
+            for i in range(trials)
         ]
         self._euclidean_cache: dict[tuple[Pair, ...], int] = {}
         # game of the last basis asked for circuits; one entry
@@ -54,7 +57,7 @@ class RigidityOracle:
         stopping at the first that reaches the ceiling, which none exceeds."""
         rank = 0
         for m in matrices:
-            rank = max(rank, numeric_rank(m, self.policy.rel_tol).rank)
+            rank = max(rank, numeric_rank(m, self.rel_tol).rank)
             if rank == ceiling:
                 break
         return rank

@@ -3,9 +3,8 @@
 In one dimension the verdict is combinatorial and configuration
 dependent: split the arcs by the sign of x_w - x_u, keep the two
 undirected shadow graphs, and require both to be connected. An
-increasing arc pins v_u + a_u = v_w + a_w, a decreasing arc pins
-v_u - a_u = v_w - a_w, and arcs between coincident positions constrain
-nothing.
+increasing arc pins v_u + a_u = v_w + a_w, and a decreasing arc pins
+v_u - a_u = v_w - a_w.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ class ArcSplit:
 
     increasing: tuple[Pair, ...]
     decreasing: tuple[Pair, ...]
-    null: tuple[Pair, ...]
 
 
 @dataclass(frozen=True)
@@ -52,22 +50,17 @@ def split_arcs(fw: ConicFramework) -> ArcSplit:
     the strict ordering is numerically fragile.
     """
     x = _require_line(fw)
-    inc, dec, null = [], [], []
+    inc, dec = [], []
     for u, w in fw.graph.arcs:
         gap = x[w] - x[u]
-        if gap != 0.0 and abs(gap) < NEAR_TIE:
+        if abs(gap) < NEAR_TIE:
             warnings.warn(
                 f"arc ({u}, {w}) orders positions by a gap of {gap:.3e}; "
                 "the strict ordering may not be meaningful",
                 stacklevel=2,
             )
-        if gap > 0:
-            inc.append((u, w))
-        elif gap < 0:
-            dec.append((u, w))
-        else:
-            null.append((u, w))
-    return ArcSplit(tuple(inc), tuple(dec), tuple(null))
+        (inc if gap > 0 else dec).append((u, w))
+    return ArcSplit(tuple(inc), tuple(dec))
 
 
 def _shadow(n: int, arcs: tuple[Pair, ...]) -> EuclideanGraph:

@@ -32,16 +32,6 @@ def s_conic(n: int, d: int) -> int:
 
 
 @dataclass(frozen=True)
-class TolerancePolicy:
-    """Numeric rank controls: relative SVD cutoff, number of random
-    configurations for generic queries, and the base seed."""
-
-    rel_tol: float = 1e-10
-    trials: int = 5
-    base_seed: int = 42
-
-
-@dataclass(frozen=True)
 class RankReport:
     rank: int
     tolerance_used: float
@@ -95,7 +85,8 @@ def numeric_rank(m: np.ndarray, rel_tol: float = 1e-10) -> RankReport:
     if a.size == 0:
         return RankReport(0, 0.0)
     sigma = np.linalg.svd(a, compute_uv=False)
-    tol, rank = _cutoff(sigma, a.shape, rel_tol)
+    tol = rel_tol * float(sigma[0]) * max(a.shape)
+    rank = int(np.sum(sigma > tol))
     if rank == 0:
         gap = float("inf")
     elif rank == len(sigma):
@@ -109,14 +100,6 @@ def numeric_rank(m: np.ndarray, rel_tol: float = 1e-10) -> RankReport:
         gap_ratio=gap,
         ill_conditioned=gap < 1e3,
     )
-
-
-def _cutoff(sigma: np.ndarray, shape: tuple[int, ...], rel_tol: float) -> tuple[float, int]:
-    """The rank cutoff for a descending spectrum, and the count above it."""
-    if sigma.size == 0:
-        return 0.0, 0
-    tol = rel_tol * float(sigma[0]) * max(shape)
-    return tol, int(np.sum(sigma > tol))
 
 
 def _orthonormal_columns(
@@ -175,9 +158,7 @@ class RigidityVerdict:
         return self.trivial_basis.shape[1]
 
 
-def is_infinitesimally_rigid(
-    fw: ConicFramework, policy: TolerancePolicy = TolerancePolicy()
-) -> RigidityVerdict:
+def is_infinitesimally_rigid(fw: ConicFramework, rel_tol: float = 1e-10) -> RigidityVerdict:
     """Rank test at the framework's own configuration.
 
     Rigid iff the constraint matrix reaches s_conic(n, d). The kernel
@@ -186,7 +167,7 @@ def is_infinitesimally_rigid(
     velocity being trivial.
     """
     matrix = conic_rigidity_matrix(fw)
-    report = numeric_rank(matrix, rel_tol=policy.rel_tol)
+    report = numeric_rank(matrix, rel_tol)
     required = s_conic(fw.n, fw.d)
     return RigidityVerdict(
         rigid=report.rank == required,
@@ -199,34 +180,28 @@ def is_infinitesimally_rigid(
 
 
 def nontrivial_flex(
-    fw: ConicFramework, rel_tol: float = 1e-10, verdict: Optional[RigidityVerdict] = None
+    fw: ConicFramework, verdict: Optional[RigidityVerdict] = None
 ) -> Optional[np.ndarray]:
     """A unit admissible velocity orthogonal to the trivial space, or
     None when no such direction exists beyond tolerance.
 
-    A framework with fewer arcs than s_conic(n, d) is flexible by count,
-    and its kernel is taken from one complete QR of the transposed
-    constraint matrix: the columns past the arc count span the
-    complement of the row space, orthogonal to every row whatever the
-    numeric rank, and they outnumber the trivial motions, so such a
-    framework always has a flex. Any other framework takes a full SVD
-    and keeps the right singular vectors past the rank cutoff.
-
-    verdict is is_infinitesimally_rigid's result for fw; its matrix and
-    trivial basis are reused. Without one both are computed here.
+    The matrix, the trivial basis and the rank come from verdict,
+    is_infinitesimally_rigid's result for fw, which is computed here when
+    not given. A matrix with fewer rows than the required rank is short of
+    arcs, and its kernel is taken from one complete QR of its transpose:
+    the columns past the arc count span the complement of the row space,
+    orthogonal to every row whatever the numeric rank, and they outnumber
+    the trivial motions, so such a framework always has a flex. Any other
+    matrix takes a full SVD and keeps the right singular vectors past the
+    verdict's rank.
     """
     if verdict is None:
-        a = conic_rigidity_matrix(fw)
-        t = trivial_space_basis(fw.config)
-    else:
-        a, t = verdict.matrix, verdict.trivial_basis
-    if fw.graph.m < s_conic(fw.n, fw.d):
+        verdict = is_infinitesimally_rigid(fw)
+    a, t = verdict.matrix, verdict.trivial_basis
+    if a.shape[0] < verdict.required_rank:
         null = np.linalg.qr(a.T, mode="complete")[0][:, a.shape[0] :]
     else:
-        _, sigma, vt = np.linalg.svd(a, full_matrices=True)
-        null = vt[_cutoff(sigma, a.shape, rel_tol)[1] :].T
-    if null.shape[1] == 0:
-        return None
+        null = np.linalg.svd(a, full_matrices=True)[2][verdict.report.rank :].T
     resid = null - t @ (t.T @ null)
     q = _orthonormal_columns(resid, abs_tol=1e-8)
     if q.shape[1] == 0:

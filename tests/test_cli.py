@@ -343,6 +343,29 @@ def test_non_finite_numbers_are_errors(tmp_path, capsys, data, field):
 
 
 @pytest.mark.parametrize(
+    "data, vertex",
+    [
+        (_with_vertex(quad_file(QUAD_RIGID_COORDS), position=[-1e200]), "v0"),
+        (_with_vertex(PINNED_FILE, position=[1e200, 0.0]), "a"),
+        (_with_vertex(PINNED_FILE, position=[0.0, -1e308]), "a"),
+    ],
+    ids=["line-1e200", "plane-1e200", "plane-1e308"],
+)
+def test_check_refuses_coordinates_whose_squares_overflow(tmp_path, capsys, data, vertex):
+    path = dump(tmp_path, "huge.json", data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f"vertex {vertex!r}" in captured.err
+    # decompose reads only the graph of the file, which stays valid
+    assert main(["decompose", path, "--d", "2"]) in (0, 1)
+    assert "verdict:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["check", "FILE", "--tol", "nan"], "--tol"),
@@ -351,9 +374,13 @@ def test_non_finite_numbers_are_errors(tmp_path, capsys, data, field):
         (["decompose", "FILE", "--seeds", "0"], "--seeds"),
         (["decompose", "FILE", "--seeds", "-2"], "--seeds"),
         (["design", "6", "--seeds", "0"], "--seeds"),
+        (["decompose", "FILE", "--seed", "-1"], "--seed"),
+        (["design", "6", "--seed", "-1"], "--seed"),
+        (["random", "4", "4", "--seed", "-2"], "--seed"),
     ],
     ids=["tol-nan", "tol-negative", "tol-zero", "decompose-seeds-zero",
-         "decompose-seeds-negative", "design-seeds-zero"],
+         "decompose-seeds-negative", "design-seeds-zero", "decompose-seed-negative",
+         "design-seed-negative", "random-seed-negative"],
 )
 def test_numeric_flags_out_of_range_are_usage_errors(tmp_path, capsys, argv, flag):
     path = str(tmp_path / "random.json")

@@ -16,7 +16,6 @@ from conicrig import (
     decompose,
     extend_to_minimally_rigid,
     initial_decomposition,
-    is_conic_graph_rigid,
     is_decomposition_of,
     laman_rigid,
     s_conic,
@@ -175,6 +174,29 @@ def test_designed_graph_of_seed_6_decomposes(tmp_path):
     assert dec is not None
 
 
+# seeds whose designed graph on 30 agents the exchange chain fails to split
+CHAIN_CRASHES = {1, 6, 10, 11, 12, 14}
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(
+            s, marks=pytest.mark.xfail(strict=True, raises=DecompositionInvariantError)
+        ) if s in CHAIN_CRASHES else s
+        for s in range(20)
+    ],
+)
+def test_designed_graphs_of_thirty_agents_decompose(tmp_path, seed):
+    path = str(tmp_path / "g.json")
+    assert cli.main(["design", "30", "--seed", str(seed), "--out", path]) == 0
+    cg = cli.load_input_file(path).graph
+    dec, _ = decompose(cg, RigidityOracle(cg.n, 2))
+    assert dec is not None and is_decomposition_of(dec, cg)
+    assert laman_rigid(dec.g)
+    assert len(connected_components(dec.h)) == 1
+
+
 def test_full_pipeline_on_the_chain_fixture():
     cg = union(CHAIN7_G, CHAIN7_H)
     assert cg.edge_count == s_conic(7, 2) == 17
@@ -223,12 +245,6 @@ def test_verdict_matches_numeric_rank_on_random_graphs():
             assert is_decomposition_of(dec, cg)
             assert laman_rigid(dec.g)
             assert len(connected_components(dec.h)) == 1
-
-
-def test_boolean_front_end():
-    assert is_conic_graph_rigid(GAMMA5, 2)
-    short = ConicGraph(5, GAMMA5.simple_edges[1:], GAMMA5.double_edges)
-    assert not is_conic_graph_rigid(short, 2)
 
 
 def test_trace_serializes_to_json():

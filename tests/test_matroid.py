@@ -37,7 +37,7 @@ def numeric_reference_rank(oracle, edges):
     configurations, each one factored."""
     key = sorted({normalize_edge(e) for e in edges})
     return max(
-        numeric_rank(euclidean_rigidity_matrix(key, p), oracle.policy.rel_tol).rank
+        numeric_rank(euclidean_rigidity_matrix(key, p), oracle.rel_tol).rank
         for p in oracle._configs
     )
 
@@ -98,7 +98,7 @@ def test_conic_rank_stops_at_the_first_configuration_reaching_its_ceiling(
     flexible = ConicGraph(5, [(3, 4)], k4)
     del calls[:]
     assert oracle.conic_rank(flexible) == 9
-    assert len(calls) == oracle.policy.trials == 5
+    assert len(calls) == oracle.trials == 5
 
 
 def test_extend_from_empty_seed():
@@ -153,7 +153,7 @@ def test_numeric_euclidean_rank_stops_at_its_ceiling(monkeypatch):
     k5 = [(u, w) for u in range(5) for w in range(u + 1, 5)]
     del calls[:]
     assert oracle.euclidean_rank(k5) == 9
-    assert len(calls) == oracle.policy.trials == 5
+    assert len(calls) == oracle.trials == 5
 
 
 def test_numeric_game_counts_its_svds(monkeypatch):

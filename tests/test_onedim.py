@@ -43,7 +43,6 @@ def test_split_by_coordinate_order():
     split = split_arcs(fw)
     assert split.increasing == ((0, 1),)
     assert split.decreasing == ((1, 2), (2, 0))
-    assert split.null == ()
 
 
 def test_split_rejects_higher_dimensions():

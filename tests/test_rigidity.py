@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -320,6 +321,36 @@ def test_arc_short_frameworks_always_have_a_flex(n, d, share, collinear, seed):
     q = nontrivial_flex(fw)
     _assert_flex(fw, q)
     assert np.array_equal(nontrivial_flex(fw, verdict=is_infinitesimally_rigid(fw)), q)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_flexible_verdicts_yield_a_flex_from_their_own_rank(data):
+    # enough arcs, on special placements where flexible verdicts are common
+    d = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(d + 2, 8))
+    ordered = [(u, w) for u in range(n) for w in range(n) if u != w]
+    m = data.draw(st.integers(s_conic(n, d), len(ordered)))
+    kind = data.draw(st.sampled_from(["collinear", "spherical", "grid"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    if kind == "collinear":
+        positions = rng.random(d) + np.outer(rng.permutation(n) + 1.0, rng.random(d) + 0.5)
+    elif kind == "spherical":
+        v = rng.standard_normal((n, d))
+        positions = rng.random(d) + v / np.linalg.norm(v, axis=1, keepdims=True)
+    else:
+        grid = np.array(list(itertools.product(range(-2, 3), repeat=d)), dtype=float)
+        positions = grid[rng.choice(len(grid), size=n, replace=False)]
+    arcs = [ordered[i] for i in rng.choice(len(ordered), size=m, replace=False)]
+    fw = ConicFramework(DirectedGraph(n, arcs), Configuration(positions, rng.random(n) - 0.5))
+    verdict = is_infinitesimally_rigid(fw)
+    if verdict.rigid:
+        return
+    q = nontrivial_flex(fw, verdict)
+    assert q is not None
+    assert np.linalg.norm(verdict.matrix @ q) <= 10 * verdict.report.tolerance_used
+    assert np.max(np.abs(verdict.trivial_basis.T @ q)) < 1e-8
+    assert np.array_equal(nontrivial_flex(fw), q)
 
 
 # seeds whose arcs are independent: most random picks on the line are not

@@ -266,7 +266,7 @@ def test_trim_builds_one_matrix_per_configuration(monkeypatch, make, seed, d):
     monkeypatch.undo()
 
     assert (core, surplus) == ref
-    assert counts["build"] == oracle.policy.trials
+    assert counts["build"] == oracle.trials
     assert counts["directed"] == 1 + (core is not None)  # the arc list, the core's arcs
     assert counts["conic"] == (core is not None)  # the core it returns
     assert counts["svd"] == len(taken)
