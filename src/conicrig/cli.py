@@ -9,9 +9,9 @@ Subcommands:
     random      emit a random framework file
 
 Numeric flags go only where they are read: check takes --tol (relative
-SVD cutoff); decompose and design take --tol, --seeds (random
-configurations per generic rank query) and --seed (their base seed);
-random takes --seed; compare and flex-demo take none.
+SVD cutoff); decompose takes --tol, --seeds (random configurations per
+conic rank) and --seed (their base seed); design and random take --seed;
+compare and flex-demo take none.
 
 Exit status: 0 rigid, 1 flexible or not rigid, 2 error. Diagnostics go
 to stderr; CONIC_RIGIDITY_LOG=error|warn|info|debug sets the level.
@@ -144,12 +144,19 @@ def _lookup_pairs(data: dict, key: str, index: dict[VertexId, int]) -> list[tupl
     if not isinstance(pairs, list):
         raise ValueError(f"{key} must be a list of vertex pairs")
     what = key[:-1].replace("_", " ")  # "simple_edges" -> "simple edge"
+    seen = set()
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{what} {pair!r} must name two vertices")
         unknown = [v for v in pair if type(v) not in (str, int) or v not in index]
         if unknown:
             raise ValueError(f"{what} {pair!r} names unknown vertex {unknown[0]!r}")
+        # an arc has a direction; an edge of a conic graph has none
+        u, w = index[pair[0]], index[pair[1]]
+        same = (u, w) if key == "arcs" else (min(u, w), max(u, w))
+        if same in seen:
+            raise ValueError(f"{key} lists the pair {pair!r} twice")
+        seen.add(same)
     return [(index[u], index[w]) for u, w in pairs]
 
 
@@ -244,10 +251,6 @@ def _write_json(data: dict, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _oracle(args, n: int, d: int) -> RigidityOracle:
-    return RigidityOracle(n, d, rel_tol=args.tol, trials=args.seeds, base_seed=args.seed)
-
-
 def _edge_names(ids, edges) -> str:
     return ", ".join(f"{ids[u]}-{ids[w]}" for u, w in edges) or "(none)"
 
@@ -338,8 +341,7 @@ def cmd_decompose(args) -> int:
     if d < 2:
         raise ValueError("decompose needs d >= 2; use check for frameworks on a line")
 
-    oracle = _oracle(args, cg.n, d)
-    dec, trace = decompose(cg, oracle)
+    dec, trace = decompose(cg, RigidityOracle(cg.n, d, args.tol, args.seeds, args.seed))
     print(
         f"vertices: {cg.n}  dimension: {d}  arcs: {cg.edge_count} "
         f"({len(cg.simple_edges)} single + {len(cg.double_edges)} double)"
@@ -374,8 +376,7 @@ def cmd_design(args) -> int:
     rng = np.random.default_rng(args.seed)
     pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
     pool = [pairs[i] for i in rng.permutation(len(pairs))]
-    oracle = _oracle(args, n, d)
-    basis = extend_to_minimally_rigid((), pool, oracle)
+    basis = extend_to_minimally_rigid((), pool, RigidityOracle(n, d))
     basis_set = set(basis)
 
     # spanning tree preferring fresh edges; overlaps become double edges
@@ -550,11 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=_tolerance, default=1e-10,
         help="relative SVD cutoff in (0, 1) (default 1e-10)",
     )
-    seeds = argparse.ArgumentParser(add_help=False)
-    seeds.add_argument(
-        "--seeds", type=_count, default=5,
-        help="random configurations per generic rank query (default 5)",
-    )
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument(
         "--seed", type=_seed, default=42, help="base random seed (default 42)"
@@ -571,18 +567,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
-        "decompose", parents=[tol, seeds, seed],
-        help="constructive rigidity of a conic graph",
+        "decompose", parents=[tol, seed], help="constructive rigidity of a conic graph"
     )
     p.add_argument("file", help="conic graph or framework JSON file")
+    p.add_argument(
+        "--seeds", type=_count, default=5,
+        help="random configurations per conic rank (default 5)",
+    )
     p.add_argument("--d", type=int, default=None, help="dimension (default: the file's)")
     p.add_argument("--trace", default=None, help="write the exchange trace as JSON")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser(
-        "design", parents=[tol, seeds, seed],
-        help="generate a minimally rigid conic graph",
-    )
+    p = sub.add_parser("design", parents=[seed], help="generate a minimally rigid conic graph")
     p.add_argument("n", type=int, help="number of agents")
     p.add_argument("--d", type=int, default=2, help="dimension (default 2)")
     p.add_argument("--out", default=None, help="output file (default stdout)")

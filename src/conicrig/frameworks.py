@@ -18,7 +18,7 @@ from .graphs import ConicGraph, DirectedGraph, EuclideanGraph
 
 def _first_coincident_pair(pos: np.ndarray) -> Optional[tuple[int, int]]:
     """The first (u, w), u < w, in lexicographic order whose rows compare
-    equal as floats (so -0.0 == 0.0 and a row holding NaN matches none).
+    equal as floats (so -0.0 == 0.0).
 
     A stable sort puts equal rows next to each other in index order, so
     the answer is the adjacent pair whose left row index is smallest.
@@ -35,7 +35,8 @@ def _first_coincident_pair(pos: np.ndarray) -> Optional[tuple[int, int]]:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """Positions (n, d) and biases (n,). Positions must be pairwise distinct."""
+    """Positions (n, d) and biases (n,), all finite. Positions must be
+    pairwise distinct."""
 
     positions: np.ndarray
     biases: np.ndarray
@@ -47,6 +48,10 @@ class Configuration:
             raise ValueError("positions must be an (n, d) array")
         if bias.shape != (pos.shape[0],):
             raise ValueError("biases must be a length-n vector")
+        finite = {"position": np.isfinite(pos).all(axis=1), "bias": np.isfinite(bias)}
+        for what, ok in finite.items():
+            if not ok.all():
+                raise ValueError(f"vertex {int(np.argmin(ok))} has a non-finite {what}")
         coincident = _first_coincident_pair(pos)
         if coincident is not None:
             u, w = coincident

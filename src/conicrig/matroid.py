@@ -2,11 +2,11 @@
 operations the decomposition machinery needs: greedy extension,
 fundamental circuits, and basis exchange.
 
-The basis operations play one independence game, `RigidityOracle.game`:
-the pebble game for d = 2, and for d >= 3 a `NumericGame` of numeric ranks
-maximised over a fixed set of random configurations, so that unlucky samples
-cannot deflate the generic rank. Conic ranks are numeric at those same
-configurations (`conic_matrices`). Euclidean rank queries are memoized.
+Euclidean questions play one independence game, `RigidityOracle.game`: the
+pebble game for d = 2, and for d >= 3 a `ModularGame`, exact elimination mod
+a prime at one random integer point; their ranks are memoized. Conic ranks
+are numeric, the largest over fixed random configurations (`conic_matrices`),
+so that unlucky samples cannot deflate the generic rank.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ import numpy as np
 from .frameworks import ConicFramework, random_generic_configuration, orient
 from .graphs import ConicGraph, DirectedGraph, Pair, normalize_edge
 from .pebble import PebbleState
-from .rigidity import (
-    conic_rigidity_matrix,
-    euclidean_rigidity_matrix,
-    numeric_rank,
-    s_conic,
-    s_euclidean,
-)
+from .rigidity import conic_rigidity_matrix, numeric_rank, s_conic, s_euclidean
+
+# the field of `ModularGame`, and the seed of its one sample point
+_PRIME = 2**31 - 1
+_POINT_SEED = 2022
 
 
 def _canon(edges: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
@@ -32,7 +30,7 @@ def _canon(edges: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
 
 
 class RigidityOracle:
-    """Rank and independence queries for edge sets on a fixed (n, d); numeric
+    """Rank and independence queries for edge sets on a fixed (n, d). Conic
     ranks cut at rel_tol and take the largest over `trials` configurations."""
 
     def __init__(
@@ -50,46 +48,28 @@ class RigidityOracle:
         ]
         self._euclidean_cache: dict[tuple[Pair, ...], int] = {}
         # game of the last basis asked for circuits; one entry
-        self._game: Optional[tuple[tuple[Pair, ...], PebbleState | NumericGame]] = None
-
-    def _generic_rank(self, matrices: Iterable[np.ndarray], ceiling: int) -> int:
-        """Largest numeric rank over the matrices, one per configuration,
-        stopping at the first that reaches the ceiling, which none exceeds."""
-        rank = 0
-        for m in matrices:
-            rank = max(rank, numeric_rank(m, self.rel_tol).rank)
-            if rank == ceiling:
-                break
-        return rank
+        self._game: Optional[tuple[tuple[Pair, ...], PebbleState | ModularGame]] = None
 
     # -- Euclidean queries ------------------------------------------------
 
     def euclidean_rank(self, edges: Iterable[Sequence[int]]) -> int:
         key = _canon(edges)
-        if key in self._euclidean_cache:
-            return self._euclidean_cache[key]
-        if self.d == 2:
-            rank = PebbleState(self.n).insert_all(key)
-        else:
-            rank = self._generic_rank(
-                (euclidean_rigidity_matrix(key, p) for p in self._configs),
-                min(s_euclidean(self.n, self.d), len(key)),
-            )
-        self._euclidean_cache[key] = rank
-        return rank
+        if key not in self._euclidean_cache:
+            self._euclidean_cache[key] = len(self.game(key).accepted)
+        return self._euclidean_cache[key]
 
     def is_independent(self, edges: Iterable[Sequence[int]]) -> bool:
         key = _canon(edges)
         return self.euclidean_rank(key) == len(key)
 
-    def game(self, edges: Iterable[Sequence[int]] = ()) -> PebbleState | NumericGame:
+    def game(self, edges: Iterable[Sequence[int]] = ()) -> PebbleState | ModularGame:
         """Independence game on the oracle's (n, d) with the edges inserted
-        in order: the pebble game in the plane, a `NumericGame` above it."""
-        state = PebbleState(self.n) if self.d == 2 else NumericGame(self)
+        in order: the pebble game in the plane, a `ModularGame` above it."""
+        state = PebbleState(self.n) if self.d == 2 else ModularGame(self.n, self.d)
         state.insert_all(edges)
         return state
 
-    def _basis_game(self, basis: tuple[Pair, ...]) -> PebbleState | NumericGame:
+    def _basis_game(self, basis: tuple[Pair, ...]) -> PebbleState | ModularGame:
         """Game of a canonical edge set. The game of the last edge set asked
         for is kept, so circuit queries on one basis share it."""
         if self._game is None or self._game[0] != basis:
@@ -106,25 +86,62 @@ class RigidityOracle:
         return (conic_rigidity_matrix(ConicFramework(dg, p)) for p in self._configs)
 
     def conic_rank(self, cg: ConicGraph) -> int:
-        """Largest numeric conic rank over the configurations, at most
-        min(s_conic(n, d), arc count)."""
+        """Largest numeric conic rank over the configurations, stopping at
+        the first that reaches min(s_conic(n, d), arc count)."""
         ceiling = min(s_conic(self.n, self.d), cg.edge_count)
-        return self._generic_rank(self.conic_matrices(orient(cg)), ceiling)
+        rank = 0
+        for m in self.conic_matrices(orient(cg)):
+            rank = max(rank, numeric_rank(m, self.rel_tol).rank)
+            if rank == ceiling:
+                break
+        return rank
 
 
-class NumericGame:
+class ModularGame:
     """Independence game for d >= 3 with the interface of `PebbleState`.
-    Every test is an `oracle.euclidean_rank` query, memo included."""
 
-    def __init__(self, oracle: RigidityOracle):
-        self.oracle = oracle
+    An echelon form, mod the prime p, of the Euclidean rigidity matrix at one
+    random integer point. Each kept row carries the combination of accepted
+    edges that produced it, so an insert reduces one row, and a circuit is
+    the support of a dependent row's combination. Rank mod p <= rank over
+    the rationals at the point <= generic rank: an accepted set is certified
+    independent, and a rejection is wrong with probability at most rank / p
+    (Schwartz 1980; Zippel 1979).
+    """
+
+    def __init__(self, n: int, d: int):
+        self.d = d
+        # residues stay below 2^31, so the product of two fits in int64
+        self._point = np.random.default_rng(_POINT_SEED).integers(0, _PRIME, (n, d))
+        # per accepted edge: pivot column, its row scaled to 1 there, combination
+        self._echelon: list[tuple[int, np.ndarray, np.ndarray]] = []
         self.accepted: list[Pair] = []
+
+    def _reduce(self, u: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row of {u, w} reduced against the echelon form, and the
+        combination of accepted edges subtracted from it along the way."""
+        d = self.d
+        diff = self._point[u] - self._point[w]  # may be negative
+        row = np.zeros(self._point.size, dtype=np.int64)
+        row[d * u : d * u + d] = diff % _PRIME
+        row[d * w : d * w + d] = -diff % _PRIME
+        comb = np.append(np.zeros(len(self.accepted), np.int64), 1)  # own edge last
+        for j, (col, pivot_row, pivot_comb) in enumerate(self._echelon):
+            f = row[col]
+            if f:
+                row = (row - f * pivot_row) % _PRIME
+                comb[: j + 1] = (comb[: j + 1] - f * pivot_comb) % _PRIME
+        return row, comb
 
     def try_insert(self, u: int, w: int) -> bool:
         """Insert edge {u, w} if it is independent; report success."""
         e = normalize_edge((u, w))
-        if self.oracle.euclidean_rank(self.accepted + [e]) != len(self.accepted) + 1:
+        row, comb = self._reduce(*e)
+        col = int(np.argmax(row != 0))
+        if not row[col]:
             return False
+        inv = pow(int(row[col]), _PRIME - 2, _PRIME)
+        self._echelon.append((col, row * inv % _PRIME, comb * inv % _PRIME))
         self.accepted.append(e)
         return True
 
@@ -133,17 +150,11 @@ class NumericGame:
         return sum(self.try_insert(*e) for e in edges)
 
     def circuit(self, u: int, w: int) -> tuple[Pair, ...]:
-        """Accepted edges e for which accepted - e + {u, w} is independent,
-        sorted; empty when {u, w} is independent of the accepted edges."""
-        uv = normalize_edge((u, w))
-        k = len(self.accepted)
-        rank = self.oracle.euclidean_rank
-        if rank(self.accepted + [uv]) == k + 1:
+        """Sorted accepted edges that form a circuit with {u, w}; empty if none do."""
+        row, comb = self._reduce(*normalize_edge((u, w)))
+        if row.any():
             return ()
-        return tuple(
-            e for e in sorted(self.accepted)
-            if rank([f for f in self.accepted if f != e] + [uv]) == k
-        )
+        return tuple(sorted(self.accepted[i] for i in np.flatnonzero(comb[:-1])))
 
 
 def extend_to_minimally_rigid(
@@ -177,7 +188,7 @@ def fundamental_circuit(
     e for which basis - e + uv is again independent.
 
     They are read from one game on the basis, kept by the oracle for
-    later queries (`PebbleState.circuit` in the plane, `NumericGame.circuit`
+    later queries (`PebbleState.circuit` in the plane, `ModularGame.circuit`
     above it).
     """
     b = _canon(basis)

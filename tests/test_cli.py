@@ -87,6 +87,26 @@ def test_framework_file_validation():
         parse_framework_file(dup)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"dimension": 2, "n": 3, "simple_edges": [[0, 1], [1, 0], [0, 1]],
+          "double_edges": [[1, 2]]}, "simple_edges lists the pair [1, 0] twice"),
+        (dict(GAMMA5_FILE, double_edges=[[1, 3], [3, 1]]),
+         "double_edges lists the pair [3, 1] twice"),
+        (dict(PINNED_FILE, arcs=PINNED_FILE["arcs"] + [["c", "d"]]),
+         "arcs lists the pair ['c', 'd'] twice"),
+    ],
+    ids=["simple-edge-reversed", "double-edge-reversed", "arc"],
+)
+def test_pairs_listed_twice_are_errors(tmp_path, capsys, data, message):
+    path = dump(tmp_path, "repeated.json", data)
+    assert main(["decompose", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_check_rigid_framework(tmp_path, capsys):
     path = dump(tmp_path, "pinned.json", PINNED_FILE)
     assert main(["check", path]) == 0
@@ -249,6 +269,8 @@ def test_random_is_deterministic(tmp_path, capsys):
         ["flex-demo", "hyperbola", "--seeds", "3"],
         ["check", "FILE", "--seed", "1"],
         ["random", "4", "5", "--tol", "1e-9"],
+        ["design", "6", "--tol", "1e-9"],
+        ["design", "6", "--seeds", "3"],
     ],
 )
 def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, argv):
@@ -266,7 +288,7 @@ def test_sampling_flags_still_parse_where_they_are_read(tmp_path, capsys):
     assert main(["decompose", path, "--tol", "1e-9", "--seeds", "3", "--seed", "7"]) == 0
     assert capsys.readouterr().out == plain
     designed = str(tmp_path / "designed.json")
-    assert main(["design", "7", "--seeds", "3", "--out", designed]) == 0
+    assert main(["design", "7", "--seed", "3", "--out", designed]) == 0
     capsys.readouterr()
     assert main(["decompose", designed]) == 0
     assert "verdict: rigid" in capsys.readouterr().out
@@ -373,13 +395,12 @@ def test_check_refuses_coordinates_whose_squares_overflow(tmp_path, capsys, data
         (["check", "FILE", "--tol", "0"], "--tol"),
         (["decompose", "FILE", "--seeds", "0"], "--seeds"),
         (["decompose", "FILE", "--seeds", "-2"], "--seeds"),
-        (["design", "6", "--seeds", "0"], "--seeds"),
         (["decompose", "FILE", "--seed", "-1"], "--seed"),
         (["design", "6", "--seed", "-1"], "--seed"),
         (["random", "4", "4", "--seed", "-2"], "--seed"),
     ],
     ids=["tol-nan", "tol-negative", "tol-zero", "decompose-seeds-zero",
-         "decompose-seeds-negative", "design-seeds-zero", "decompose-seed-negative",
+         "decompose-seeds-negative", "decompose-seed-negative",
          "design-seed-negative", "random-seed-negative"],
 )
 def test_numeric_flags_out_of_range_are_usage_errors(tmp_path, capsys, argv, flag):

@@ -14,11 +14,15 @@ from conicrig import (
     RigidityOracle,
     conic_class,
     decompose,
+    euclidean_rigidity_matrix,
     extend_to_minimally_rigid,
     initial_decomposition,
     is_decomposition_of,
     laman_rigid,
+    numeric_rank,
+    random_generic_configuration,
     s_conic,
+    s_euclidean,
     union,
 )
 from conicrig import cli
@@ -194,6 +198,31 @@ def test_designed_graphs_of_thirty_agents_decompose(tmp_path, seed):
     dec, _ = decompose(cg, RigidityOracle(cg.n, 2))
     assert dec is not None and is_decomposition_of(dec, cg)
     assert laman_rigid(dec.g)
+    assert len(connected_components(dec.h)) == 1
+
+
+# seeds whose designed graph on 20 agents in space the exchange chain fails to split
+SPATIAL_CHAIN_CRASHES = {3, 15, 17, 18}
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(
+            s, marks=pytest.mark.xfail(strict=True, raises=DecompositionInvariantError)
+        ) if s in SPATIAL_CHAIN_CRASHES else s
+        for s in range(20)
+    ],
+)
+def test_designed_spatial_graphs_of_twenty_agents_decompose(tmp_path, seed):
+    path = str(tmp_path / "g.json")
+    assert cli.main(["design", "20", "--d", "3", "--seed", str(seed), "--out", path]) == 0
+    cg = cli.load_input_file(path).graph
+    dec, _ = decompose(cg, RigidityOracle(cg.n, 3))
+    assert dec is not None and is_decomposition_of(dec, cg)
+    # G is minimally rigid by the numeric rank at a generic placement
+    placed = euclidean_rigidity_matrix(dec.g.edges, random_generic_configuration(20, 3, 5))
+    assert dec.g.m == numeric_rank(placed).rank == s_euclidean(20, 3)
     assert len(connected_components(dec.h)) == 1
 
 

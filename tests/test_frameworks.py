@@ -150,10 +150,27 @@ def test_coincidence_uses_float_equality():
     # -0.0 == 0.0, so vertices 0 and 2 coincide
     msg = _coincident_pair([[0.0, 0.0], [1.0, 1.0], [-0.0, 0.0]])
     assert msg == "coincident positions at vertices 0 and 2"
-    # a NaN row equals nothing, not even an identical NaN row
+    # NaN rows are refused before any comparison
     nan = float("nan")
-    Configuration([[nan, 0.0], [nan, 0.0], [0.0, nan], [0.0, 0.0]], np.zeros(4))
+    msg = _coincident_pair([[0.0, 0.0], [nan, 0.0], [nan, 0.0], [0.0, nan]])
+    assert msg == "vertex 1 has a non-finite position"
     Configuration([[1.0, 2.0]], [0.0])
+
+
+@pytest.mark.parametrize(
+    "positions, biases, message",
+    [
+        ([[0.0], [float("nan")], [2.0]], [0.0, 0.0, 0.0], "vertex 1 has a non-finite position"),
+        ([[0.0, 1.0], [1.0, -float("inf")]], [0.0, 0.0], "vertex 1 has a non-finite position"),
+        ([[0.0, 0.0], [1.0, 1.0]], [float("inf"), 0.0], "vertex 0 has a non-finite bias"),
+        ([[0.0, 0.0], [0.0, 0.0]], [0.0, float("nan")], "vertex 1 has a non-finite bias"),
+    ],
+    ids=["line-nan", "plane-minus-inf", "inf-bias", "nan-bias-before-coincidence"],
+)
+def test_non_finite_entries_are_refused(positions, biases, message):
+    with pytest.raises(ValueError) as info:
+        Configuration(positions, biases)
+    assert str(info.value) == message
 
 
 def test_coincidence_reports_the_first_pair():

@@ -14,12 +14,13 @@ from conicrig import (
     s_euclidean,
     swap,
 )
+from conicrig.frameworks import Configuration
 from conicrig.graphs import normalize_edge
-from conicrig.matroid import NumericGame
+from conicrig.matroid import ModularGame
 from conicrig.pebble import PebbleState
 from conicrig.rigidity import euclidean_rigidity_matrix, numeric_rank
 from golden import G1, G2, G2_CIRCUIT_12, GAMMA5
-from oracles import sparsity_independent, sparsity_rank
+from oracles import exact_rank, sparsity_independent, sparsity_rank
 
 
 def edge_sets(max_n=7):
@@ -142,34 +143,52 @@ def test_extend_numeric_backend_d3():
     assert oracle.is_independent(basis)
 
 
-def test_numeric_euclidean_rank_stops_at_its_ceiling(monkeypatch):
-    calls = counted_svds(monkeypatch)
-    oracle = RigidityOracle(6, 3)
-    basis = [(u, w) for u in range(3) for w in range(u + 1, 6)]
-    # independent: the first configuration reaches min(s_euclidean, |E|)
-    assert oracle.euclidean_rank(basis) == len(basis) == s_euclidean(6, 3)
-    assert len(calls) == 1
-    # K5 has rank 9 < 10 edges: no configuration reaches the ceiling
-    k5 = [(u, w) for u in range(5) for w in range(u + 1, 5)]
-    del calls[:]
-    assert oracle.euclidean_rank(k5) == 9
-    assert len(calls) == oracle.trials == 5
-
-
-def test_numeric_game_counts_its_svds(monkeypatch):
-    # one SVD per set whose rank reaches min(s_euclidean, |E|), 5 for the rest
+def test_spatial_game_takes_no_svd(monkeypatch):
     calls = counted_svds(monkeypatch)
     oracle = RigidityOracle(6, 3)
     basis = extend_to_minimally_rigid([], _pairs(6), oracle)
-    assert len(calls) == len(basis) == 12  # every edge tried is accepted
+    assert len(basis) == s_euclidean(6, 3) == 12
     outside = [uv for uv in _pairs(6) if uv not in basis]
-    del calls[:]
     circuits = [fundamental_circuit(basis, uv, oracle) for uv in outside]
-    # per circuit: uv against the basis (rank s_euclidean, 1), 9 circuit
-    # edges (1 each) and 3 edges outside it (5 each); the basis game's
-    # prefixes are extend's, already in the memo
     assert [len(c) for c in circuits] == [9, 9, 9]
-    assert len(calls) == 3 * (1 + 9 + 3 * 5) == 75
+    assert oracle.euclidean_rank(basis + (outside[0],)) == 12
+    assert calls == []
+
+
+def test_k5_is_a_spatial_circuit():
+    k5 = _pairs(5)
+    game = RigidityOracle(5, 3).game(k5)
+    assert isinstance(game, ModularGame)
+    assert game.accepted == k5[:9]
+    assert game.circuit(*k5[9]) == tuple(k5[:9])
+
+
+def _integer_rank(game, edges):
+    """Rank over the rationals of the game's rigidity matrix, from its own
+    integer point: every entry is an integer below 2^31 in magnitude, exact as a float."""
+    point = Configuration(game._point, np.zeros(len(game._point)))
+    return exact_rank(euclidean_rigidity_matrix(edges, point).tolist())
+
+
+@st.composite
+def dense_edge_sets(draw, max_n):
+    """n and a prefix of a shuffled K_n of uniform length, so that about
+    half the sets are dependent."""
+    n = draw(st.integers(3, max_n))
+    pairs = draw(st.permutations(_pairs(n)))
+    return n, sorted(pairs[: draw(st.integers(0, len(pairs)))])
+
+
+@given(st.sampled_from([3, 4]), dense_edge_sets(max_n=11))
+@settings(max_examples=60)
+def test_modular_rank_matches_the_numeric_and_exact_ranks(d, ne):
+    n, key = ne
+    oracle = RigidityOracle(n, d)
+    game = oracle.game(key)
+    rank = len(game.accepted)
+    assert oracle.euclidean_rank(key) == rank == numeric_reference_rank(oracle, key)
+    if n <= 6:
+        assert _integer_rank(game, game.accepted) == _integer_rank(game, key) == rank
 
 
 def test_fundamental_circuit_definition():
@@ -250,10 +269,11 @@ def test_circuits_on_two_bases_through_one_oracle():
 
 def _exchange_circuit_3d(n, basis, uv):
     """{e in basis : basis - e + uv independent}, each candidate decided by
-    a fresh oracle's one-shot Euclidean rank."""
+    the numeric rank at the oracle's configurations."""
+    oracle = RigidityOracle(n, 3)
     return tuple(
         e for e in basis
-        if RigidityOracle(n, 3).is_independent([f for f in basis if f != e] + [uv])
+        if numeric_reference_rank(oracle, [f for f in basis if f != e] + [uv]) == len(basis)
     )
 
 
@@ -274,7 +294,7 @@ def test_spatial_circuits_match_the_exchange_definition(nb):
             assert fundamental_circuit(basis, uv, oracle) == _exchange_circuit_3d(n, basis, uv)
     # an edge independent of the accepted ones has no circuit
     game = oracle.game(basis[1:])
-    assert isinstance(game, NumericGame)
+    assert isinstance(game, ModularGame)
     assert game.circuit(*basis[0]) == ()
 
 

@@ -45,10 +45,10 @@ def test_verdict_agreement_counts_and_exit_status():
 
 
 def test_verdict_agreement_in_space():
-    # the numeric independence game end to end, against the conic rank
-    done = run_script("verdict_agreement.py", "--d", "3", "--trials", "20", "--max-n", "8")
+    # the modular independence game end to end, against the numeric conic rank
+    done = run_script("verdict_agreement.py", "--d", "3", "--trials", "100", "--max-n", "12")
     assert done.returncode == 0, done.stdout + done.stderr
     out = done.stdout
-    assert re.search(r"^trials: 20  rigid: \d+  flexible: \d+$", out, re.M), out
+    assert re.search(r"^trials: 100  rigid: \d+  flexible: \d+$", out, re.M), out
     for label in ("disagreements", "DecompositionInvariantError", "CrossCheckError"):
         assert re.search(rf"^{label}: 0$", out, re.M), out
