@@ -8,10 +8,9 @@ Subcommands:
     flex-demo   sample the reference flex curves / second placement
     random      emit a random framework file
 
-Numeric flags go only where they are read: check takes --tol (relative
-SVD cutoff); decompose takes --tol, --seeds (random configurations per
-conic rank) and --seed (their base seed); design and random take --seed;
-compare and flex-demo take none.
+The rank cutoff and the random configurations of a conic rank are fixed
+(see rigidity.REL_TOL and matroid.TRIALS), so check and decompose take no
+numeric flags; design and random take --seed.
 
 Exit status: 0 rigid, 1 flexible or not rigid, 2 error. Diagnostics go
 to stderr; CONIC_RIGIDITY_LOG=error|warn|info|debug sets the level.
@@ -55,7 +54,7 @@ from .frameworks import (
     orient,
     union,
 )
-from .graphs import ConicGraph, DirectedGraph, EuclideanGraph
+from .graphs import ConicGraph, DirectedGraph, EuclideanGraph, normalize_edge
 from .matroid import RigidityOracle, extend_to_minimally_rigid
 from .onedim import flex_witness_1d, is_rigid_1d
 from .rigidity import (
@@ -153,6 +152,8 @@ def _lookup_pairs(data: dict, key: str, index: dict[VertexId, int]) -> list[tupl
             raise ValueError(f"{what} {pair!r} names unknown vertex {unknown[0]!r}")
         # an arc has a direction; an edge of a conic graph has none
         u, w = index[pair[0]], index[pair[1]]
+        if u == w:
+            raise ValueError(f"{what} {pair!r} is a self loop")
         same = (u, w) if key == "arcs" else (min(u, w), max(u, w))
         if same in seen:
             raise ValueError(f"{key} lists the pair {pair!r} twice")
@@ -173,10 +174,15 @@ def parse_framework_file(data: dict) -> FrameworkFile:
         pos = v["position"]
         if not isinstance(pos, list) or len(pos) != d:
             raise ValueError(f"vertex {v['id']!r} position must have {d} coordinates")
-        positions.append([_number(c, f"vertex {v['id']!r} coordinate") for c in pos])
+        positions.append(tuple(_number(c, f"vertex {v['id']!r} coordinate") for c in pos))
         biases.append(_number(v.get("bias", 0.0), f"vertex {v['id']!r} bias"))
     index = _index_ids(ids)
     arcs = _lookup_pairs(data, "arcs", index)
+    placed: dict[tuple[float, ...], VertexId] = {}  # -0.0 and 0.0 share a key
+    for vid, x in zip(ids, positions):
+        if x in placed:
+            raise ValueError(f"coincident positions at vertices {placed[x]!r} and {vid!r}")
+        placed[x] = vid
     fw = ConicFramework(
         DirectedGraph(len(ids), arcs),
         Configuration(np.array(positions), np.array(biases)),
@@ -197,6 +203,11 @@ def parse_conic_graph_file(data: dict) -> ConicGraphFile:
     index = _index_ids(ids)
     simple = _lookup_pairs(data, "simple_edges", index)
     double = _lookup_pairs(data, "double_edges", index)
+    written = {normalize_edge(e): raw for e, raw in zip(simple, data.get("simple_edges", []))}
+    for e, raw in zip(double, data.get("double_edges", [])):
+        other = written.get(normalize_edge(e))
+        if other is not None:
+            raise ValueError(f"simple edge {other!r} and double edge {raw!r} name the same pair")
     return ConicGraphFile(tuple(ids), ConicGraph(len(ids), simple, double), d)
 
 
@@ -283,7 +294,7 @@ def cmd_check(args) -> int:
             "or more, where squared arc lengths overflow"
         )
     print(f"agents: {n}  dimension: {d}  arcs: {fw.graph.m}")
-    verdict = is_infinitesimally_rigid(fw, rel_tol=args.tol)
+    verdict = is_infinitesimally_rigid(fw)
     report = verdict.report
 
     if d == 1:
@@ -341,7 +352,7 @@ def cmd_decompose(args) -> int:
     if d < 2:
         raise ValueError("decompose needs d >= 2; use check for frameworks on a line")
 
-    dec, trace = decompose(cg, RigidityOracle(cg.n, d, args.tol, args.seeds, args.seed))
+    dec, trace = decompose(cg, RigidityOracle(cg.n, d))
     print(
         f"vertices: {cg.n}  dimension: {d}  arcs: {cg.edge_count} "
         f"({len(cg.simple_edges)} single + {len(cg.double_edges)} double)"
@@ -505,11 +516,15 @@ def cmd_random(args) -> int:
         raise ValueError("need at least two agents")
     if d < 1:
         raise ValueError("dimension must be positive")
-    ordered = [(u, w) for u in range(n) for w in range(n) if u != w]
-    if not 0 <= arcs <= len(ordered):
-        raise ValueError(f"arc count must be between 0 and {len(ordered)}")
+    if not 0 <= arcs <= n * (n - 1):
+        raise ValueError(f"arc count must be between 0 and {n * (n - 1)}")
     rng = np.random.default_rng(args.seed)
-    chosen = sorted(ordered[i] for i in rng.choice(len(ordered), size=arcs, replace=False))
+    # index i of the ordered pairs (u, w), u != w, in lexicographic order;
+    # sorted indices decode to sorted pairs
+    chosen = []
+    for i in sorted(rng.choice(n * (n - 1), size=arcs, replace=False).tolist()):
+        u, r = divmod(i, n - 1)
+        chosen.append((u, r + (r >= u)))
     positions = rng.random((n, d))
     biases = rng.random(n) - 0.5
     ids = tuple(str(v) for v in range(n))
@@ -524,20 +539,6 @@ def cmd_random(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _tolerance(text: str) -> float:
-    x = float(text)
-    if not 0.0 < x < 1.0:  # also refuses nan
-        raise argparse.ArgumentTypeError(f"{text!r} is not a relative cutoff in (0, 1)")
-    return x
-
-
-def _count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return n
-
-
 def _seed(text: str) -> int:
     n = int(text)
     if n < 0:
@@ -546,11 +547,6 @@ def _seed(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument(
-        "--tol", type=_tolerance, default=1e-10,
-        help="relative SVD cutoff in (0, 1) (default 1e-10)",
-    )
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument(
         "--seed", type=_seed, default=42, help="base random seed (default 42)"
@@ -562,18 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[tol], help="test a framework file")
+    p = sub.add_parser("check", help="test a framework file")
     p.add_argument("file", help="framework JSON file")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser(
-        "decompose", parents=[tol, seed], help="constructive rigidity of a conic graph"
-    )
+    p = sub.add_parser("decompose", help="constructive rigidity of a conic graph")
     p.add_argument("file", help="conic graph or framework JSON file")
-    p.add_argument(
-        "--seeds", type=_count, default=5,
-        help="random configurations per conic rank (default 5)",
-    )
     p.add_argument("--d", type=int, default=None, help="dimension (default: the file's)")
     p.add_argument("--trace", default=None, help="write the exchange trace as JSON")
     p.set_defaults(func=cmd_decompose)

@@ -290,7 +290,7 @@ def _trim_to_core(
         # a second copy (w, u) follows its first at i - 1 and needs it kept
         tested = len(kept) < target and (u < w or kept[-1:] == [i - 1])
         if tested and any(
-            numeric_rank(a[kept + [i]], oracle.rel_tol).rank == len(kept) + 1
+            numeric_rank(a[kept + [i]]).rank == len(kept) + 1
             for a in matrices
         ):
             kept.append(i)
@@ -302,19 +302,15 @@ def _trim_to_core(
 
 
 def decompose(
-    cg: ConicGraph, oracle: Optional[RigidityOracle] = None, d: Optional[int] = None
+    cg: ConicGraph, oracle: RigidityOracle
 ) -> tuple[Optional[Decomposition], DecompositionTrace]:
-    """Decide rigidity of a conic graph constructively.
+    """Decide rigidity of a conic graph constructively in the oracle's R^d.
 
     Returns (decomposition, trace); the decomposition is None exactly
-    when the graph is not rigid in R^d. The verdict is cross-checked
-    against the numeric generic rank and any disagreement raises
+    when the graph is not rigid. The verdict is cross-checked against
+    the oracle's numeric conic rank and any disagreement raises
     CrossCheckError rather than silently picking a side.
     """
-    if oracle is None:
-        if d is None:
-            raise ValueError("pass an oracle or a dimension")
-        oracle = RigidityOracle(cg.n, d)
     if cg.n != oracle.n:
         raise ValueError("vertex count mismatch between graph and oracle")
     n, dim = cg.n, oracle.d

@@ -5,17 +5,18 @@ fundamental circuits, and basis exchange.
 Euclidean questions play one independence game, `RigidityOracle.game`: the
 pebble game for d = 2, and for d >= 3 a `ModularGame`, exact elimination mod
 a prime at one random integer point; their ranks are memoized. Conic ranks
-are numeric, the largest over fixed random configurations (`conic_matrices`),
-so that unlucky samples cannot deflate the generic rank.
+are numeric, the largest over TRIALS fixed random configurations
+(`conic_matrices`), so that unlucky samples cannot deflate the generic rank.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .frameworks import ConicFramework, random_generic_configuration, orient
+from .frameworks import Configuration, ConicFramework, orient, random_generic_configuration
 from .graphs import ConicGraph, DirectedGraph, Pair, normalize_edge
 from .pebble import PebbleState
 from .rigidity import conic_rigidity_matrix, numeric_rank, s_conic, s_euclidean
@@ -24,6 +25,10 @@ from .rigidity import conic_rigidity_matrix, numeric_rank, s_conic, s_euclidean
 _PRIME = 2**31 - 1
 _POINT_SEED = 2022
 
+# random configurations per conic rank, seeded _CONFIG_SEED, _CONFIG_SEED + 1, ...
+TRIALS = 5
+_CONFIG_SEED = 42
+
 
 def _canon(edges: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
     return tuple(sorted({normalize_edge(e) for e in edges}))
@@ -31,21 +36,13 @@ def _canon(edges: Iterable[Sequence[int]]) -> tuple[Pair, ...]:
 
 class RigidityOracle:
     """Rank and independence queries for edge sets on a fixed (n, d). Conic
-    ranks cut at rel_tol and take the largest over `trials` configurations."""
+    ranks take the largest over TRIALS configurations, drawn on first use."""
 
-    def __init__(
-        self, n: int, d: int, rel_tol: float = 1e-10, trials: int = 5, base_seed: int = 42
-    ):
+    def __init__(self, n: int, d: int):
         if d < 2:
             raise ValueError("matroid oracle needs d >= 2; the line has its own test")
         self.n = int(n)
         self.d = int(d)
-        self.rel_tol = rel_tol
-        self.trials = trials
-        self._configs = [
-            random_generic_configuration(self.n, self.d, base_seed + i)
-            for i in range(trials)
-        ]
         self._euclidean_cache: dict[tuple[Pair, ...], int] = {}
         # game of the last basis asked for circuits; one entry
         self._game: Optional[tuple[tuple[Pair, ...], PebbleState | ModularGame]] = None
@@ -78,6 +75,13 @@ class RigidityOracle:
 
     # -- conic queries (always numeric) -----------------------------------
 
+    @cached_property
+    def _configs(self) -> list[Configuration]:
+        return [
+            random_generic_configuration(self.n, self.d, _CONFIG_SEED + i)
+            for i in range(TRIALS)
+        ]
+
     def conic_matrices(self, dg: DirectedGraph) -> Iterator[np.ndarray]:
         """The conic constraint matrix of dg at each of the oracle's
         configurations, in their fixed order, each built when asked for."""
@@ -91,7 +95,7 @@ class RigidityOracle:
         ceiling = min(s_conic(self.n, self.d), cg.edge_count)
         rank = 0
         for m in self.conic_matrices(orient(cg)):
-            rank = max(rank, numeric_rank(m, self.rel_tol).rank)
+            rank = max(rank, numeric_rank(m).rank)
             if rank == ceiling:
                 break
         return rank

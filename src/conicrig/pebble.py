@@ -21,15 +21,14 @@ class PebbleState:
     """Mutable game state: pebble counts, edge orientations, accepted edges."""
 
     n: int
-    pebbles: list[int] = field(default_factory=list)
-    out: list[set[int]] = field(default_factory=list)
-    accepted: list[Pair] = field(default_factory=list)
+    pebbles: list[int] = field(init=False)
+    out: list[set[int]] = field(init=False)
+    accepted: list[Pair] = field(init=False)
 
     def __post_init__(self):
-        if not self.pebbles:
-            self.pebbles = [2] * self.n
-        if not self.out:
-            self.out = [set() for _ in range(self.n)]
+        self.pebbles = [2] * self.n
+        self.out = [set() for _ in range(self.n)]
+        self.accepted = []
 
     def _gather_one(self, root: int, other: int) -> bool:
         """Move one free pebble to root, if reachable. The other endpoint

@@ -19,6 +19,10 @@ from .frameworks import Configuration, ConicFramework
 from .graphs import DirectedGraph, Pair, incidence_transpose
 
 
+# relative SVD cutoff of every numeric rank decision
+REL_TOL = 1e-10
+
+
 def s_euclidean(n: int, d: int) -> int:
     """Generic rank ceiling of the distance-only matrix on n vertices."""
     if n >= d + 1:
@@ -74,8 +78,8 @@ def conic_rigidity_matrix(fw: ConicFramework) -> np.ndarray:
     return np.hstack([me, bias_matrix(fw.graph, fw.config)])
 
 
-def numeric_rank(m: np.ndarray, rel_tol: float = 1e-10) -> RankReport:
-    """SVD rank with cutoff rel_tol * sigma_max * max(rows, cols).
+def numeric_rank(m: np.ndarray) -> RankReport:
+    """SVD rank with cutoff REL_TOL * sigma_max * max(rows, cols).
 
     One values-only SVD. The report flags the decision as
     ill-conditioned when the gap between the smallest kept and largest
@@ -85,7 +89,7 @@ def numeric_rank(m: np.ndarray, rel_tol: float = 1e-10) -> RankReport:
     if a.size == 0:
         return RankReport(0, 0.0)
     sigma = np.linalg.svd(a, compute_uv=False)
-    tol = rel_tol * float(sigma[0]) * max(a.shape)
+    tol = REL_TOL * float(sigma[0]) * max(a.shape)
     rank = int(np.sum(sigma > tol))
     if rank == 0:
         gap = float("inf")
@@ -158,7 +162,7 @@ class RigidityVerdict:
         return self.trivial_basis.shape[1]
 
 
-def is_infinitesimally_rigid(fw: ConicFramework, rel_tol: float = 1e-10) -> RigidityVerdict:
+def is_infinitesimally_rigid(fw: ConicFramework) -> RigidityVerdict:
     """Rank test at the framework's own configuration.
 
     Rigid iff the constraint matrix reaches s_conic(n, d). The kernel
@@ -167,7 +171,7 @@ def is_infinitesimally_rigid(fw: ConicFramework, rel_tol: float = 1e-10) -> Rigi
     velocity being trivial.
     """
     matrix = conic_rigidity_matrix(fw)
-    report = numeric_rank(matrix, rel_tol)
+    report = numeric_rank(matrix)
     required = s_conic(fw.n, fw.d)
     return RigidityVerdict(
         rigid=report.rank == required,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from conicrig import (
     s_euclidean,
     swap,
 )
+from conicrig import cli
 from conicrig.frameworks import Configuration
 from conicrig.graphs import normalize_edge
 from conicrig.matroid import ModularGame
@@ -38,7 +41,7 @@ def numeric_reference_rank(oracle, edges):
     configurations, each one factored."""
     key = sorted({normalize_edge(e) for e in edges})
     return max(
-        numeric_rank(euclidean_rigidity_matrix(key, p), oracle.rel_tol).rank
+        numeric_rank(euclidean_rigidity_matrix(key, p)).rank
         for p in oracle._configs
     )
 
@@ -99,7 +102,25 @@ def test_conic_rank_stops_at_the_first_configuration_reaching_its_ceiling(
     flexible = ConicGraph(5, [(3, 4)], k4)
     del calls[:]
     assert oracle.conic_rank(flexible) == 9
-    assert len(calls) == oracle.trials == 5
+    assert len(calls) == len(oracle._configs) == 5
+
+
+def test_configurations_are_drawn_only_for_conic_ranks(monkeypatch, tmp_path):
+    matroid_module = importlib.import_module("conicrig.matroid")
+    draw, calls = matroid_module.random_generic_configuration, []
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(matroid_module, "random_generic_configuration", counted)
+    path = str(tmp_path / "designed.json")
+    # design asks only Euclidean questions
+    assert cli.main(["design", "30", "--out", path]) == 0
+    assert calls == []
+    # decompose's numeric cross-check draws the TRIALS configurations once
+    assert cli.main(["decompose", path]) == 0
+    assert len(calls) == matroid_module.TRIALS == 5
 
 
 def test_extend_from_empty_seed():

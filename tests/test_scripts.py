@@ -52,3 +52,14 @@ def test_verdict_agreement_in_space():
     assert re.search(r"^trials: 100  rigid: \d+  flexible: \d+$", out, re.M), out
     for label in ("disagreements", "DecompositionInvariantError", "CrossCheckError"):
         assert re.search(rf"^{label}: 0$", out, re.M), out
+
+
+def test_output_digest_is_a_function_of_workload_and_seed():
+    runs = [run_script("output_digest.py", "--workload", "decompose-plane", "--seed", "5",
+                       "--cycles", "1") for _ in range(2)]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    lines = runs[0].stdout.splitlines()
+    assert runs[1].stdout.splitlines() == lines
+    assert len(lines) == 51  # one per input of a decompose-plane cycle
+    assert all(re.fullmatch(r"c0-\S+\.json -?\d [0-9a-f]{16}", line) for line in lines)
