@@ -39,7 +39,6 @@ from .matroid import (
     swap,
 )
 from .onedim import flex_witness_1d, is_rigid_1d, split_arcs
-from .pebble import laman_independent, laman_rank, laman_rigid
 from .rigidity import (
     RankReport,
     RigidityVerdict,
@@ -83,9 +82,6 @@ __all__ = [
     "is_decomposition_of",
     "is_infinitesimally_rigid",
     "is_rigid_1d",
-    "laman_independent",
-    "laman_rank",
-    "laman_rigid",
     "locate_second_intersection",
     "nontrivial_flex",
     "normalize_edge",

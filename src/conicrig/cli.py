@@ -32,6 +32,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -56,7 +57,7 @@ from .frameworks import (
 )
 from .graphs import ConicGraph, DirectedGraph, EuclideanGraph, normalize_edge
 from .matroid import RigidityOracle, extend_to_minimally_rigid
-from .onedim import flex_witness_1d, is_rigid_1d
+from .onedim import NearTieWarning, flex_witness_1d, is_rigid_1d
 from .rigidity import (
     is_infinitesimally_rigid,
     nontrivial_flex,
@@ -253,8 +254,8 @@ def conic_graph_file_dict(cf: ConicGraphFile) -> dict:
     }
 
 
-def _write_json(data: dict, out: Optional[str]) -> None:
-    text = json.dumps(data, indent=2) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
+    """Write text to the file out, or to stdout when out is None."""
     if out is None:
         sys.stdout.write(text)
     else:
@@ -298,7 +299,19 @@ def cmd_check(args) -> int:
     report = verdict.report
 
     if d == 1:
-        exact = is_rigid_1d(fw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NearTieWarning)
+            exact = is_rigid_1d(fw)
+            q = None if exact.rigid else flex_witness_1d(fw)
+        # one line per arc: the witness repeats the exact test's split
+        ties = {c.message.arc: c.message.gap for c in caught
+                if isinstance(c.message, NearTieWarning)}
+        for (u, w), gap in ties.items():
+            log.warning(
+                "arc %r orders positions by a gap of %.3e; "
+                "the strict ordering may not be meaningful",
+                [ids[u], ids[w]], gap,
+            )
         agree = exact.rigid == verdict.rigid
         print(f"increasing shadow components: {len(exact.plus_components)}")
         print(f"decreasing shadow components: {len(exact.minus_components)}")
@@ -309,7 +322,6 @@ def cmd_check(args) -> int:
         print(f"verdict: {'rigid' if exact.rigid else 'flexible'}")
         if exact.rigid:
             return 0
-        q = flex_witness_1d(fw)
         assert q is not None
         residual = float(np.linalg.norm(verdict.matrix @ q))
         _print_flex(ids, q, n, 1)
@@ -370,7 +382,7 @@ def cmd_decompose(args) -> int:
     if args.trace is not None:
         payload = {"ids": list(ids)}
         payload.update(trace.to_json_dict())
-        _write_json(payload, args.trace)
+        _write(json.dumps(payload, indent=2) + "\n", args.trace)
         print(f"trace written to {args.trace}")
     return 0 if dec is not None else 1
 
@@ -422,7 +434,7 @@ def cmd_design(args) -> int:
         f"(minimum {s_conic(n, d)}; {len(cg.double_edges)} double)",
         file=report,
     )
-    _write_json(data, args.out)
+    _write(json.dumps(data, indent=2) + "\n", args.out)
     return 0
 
 
@@ -497,12 +509,8 @@ def cmd_flex_demo(args) -> int:
     for s in samples:
         row = (float(s.t), float(s.position[0]), float(s.position[1]), float(s.bias))
         lines.append(",".join(repr(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", args.out)
+    if args.out is not None:
         print(f"samples written to {args.out}", file=report)
     return 0
 
@@ -532,7 +540,7 @@ def cmd_random(args) -> int:
         ids,
         ConicFramework(DirectedGraph(n, chosen), Configuration(positions, biases)),
     )
-    _write_json(framework_file_dict(ff), args.out)
+    _write(json.dumps(framework_file_dict(ff), indent=2) + "\n", args.out)
     return 0
 
 

@@ -30,7 +30,6 @@ class ConicCurveFlex:
     """One-parameter flex curve of the 3-agent, 4-arc pattern."""
 
     kind: str  # "hyperbola" or "ellipse"
-    foci: tuple[np.ndarray, np.ndarray]
     constant: float  # r_a - r_b on the hyperbola, r_a + r_b on the ellipse
     bias_fn: Callable[[np.ndarray], float]
     moving: int
@@ -142,7 +141,6 @@ def build_flex_curve(fw: ConicFramework) -> ConicCurveFlex:
 
     curve = ConicCurveFlex(
         kind=kind,
-        foci=(xa.copy(), xb.copy()),
         constant=constant,
         bias_fn=bias_fn,
         moving=m,

@@ -9,7 +9,7 @@ directions but remembers which pairs carry both arcs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -119,10 +119,6 @@ class Decomposition:
         if self.g.n != self.h.n:
             raise ValueError("decomposition parts disagree on vertex count")
 
-    @property
-    def n(self) -> int:
-        return self.g.n
-
 
 def pseudo_range(p_e: np.ndarray, p_r: np.ndarray) -> float:
     """One-way range between emitter and receiver points of R^(d+1).
@@ -171,10 +167,9 @@ def is_decomposition_of(dec: Decomposition, cg: ConicGraph) -> bool:
     return union(dec.g, dec.h) == cg
 
 
-def orient(obj: Union[ConicGraph, Decomposition]) -> DirectedGraph:
+def orient(cg: ConicGraph) -> DirectedGraph:
     """Canonical orientation: double edges yield both arcs (in sorted
     edge order), then each simple edge yields one low-to-high arc."""
-    cg = union(obj.g, obj.h) if isinstance(obj, Decomposition) else obj
     arcs: list[tuple[int, int]] = []
     for u, w in cg.double_edges:
         arcs.append((u, w))
@@ -189,8 +184,7 @@ def random_generic_configuration(n: int, d: int, seed: int) -> Configuration:
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     rng = np.random.default_rng(seed)
-    while True:
+    pos = rng.random((n, d))
+    while _first_coincident_pair(pos) is not None:
         pos = rng.random((n, d))
-        if len({tuple(row) for row in pos}) == n:
-            break
     return Configuration(pos, rng.random(n))

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 Pair = tuple[int, int]
 
 
@@ -194,13 +192,3 @@ def find_cycle(g: EuclideanGraph) -> Optional[list[Pair]]:
                 parent[y] = x
                 stack.append((y, 0))
     return None
-
-
-def incidence_transpose(dg: DirectedGraph) -> np.ndarray:
-    """Arc-by-vertex matrix: row of arc (u, w) has -1 at u and +1 at w."""
-    arcs = np.array(dg.arcs, dtype=np.intp).reshape(-1, 2)
-    rows = np.arange(dg.m)
-    b = np.zeros((dg.m, dg.n))
-    b[rows, arcs[:, 0]] = -1.0
-    b[rows, arcs[:, 1]] = 1.0
-    return b

@@ -21,6 +21,18 @@ from .graphs import EuclideanGraph, Pair, connected_components
 NEAR_TIE = 1e-12
 
 
+class NearTieWarning(UserWarning):
+    """An arc whose end positions differ by a nonzero gap below NEAR_TIE."""
+
+    def __init__(self, arc: Pair, gap: float):
+        super().__init__(
+            f"arc ({arc[0]}, {arc[1]}) orders positions by a gap of {gap:.3e}; "
+            "the strict ordering may not be meaningful"
+        )
+        self.arc = arc
+        self.gap = gap
+
+
 @dataclass(frozen=True)
 class ArcSplit:
     """Arcs partitioned by coordinate order of tail and head."""
@@ -46,19 +58,15 @@ def _require_line(fw: ConicFramework) -> np.ndarray:
 def split_arcs(fw: ConicFramework) -> ArcSplit:
     """Partition arcs by exact coordinate comparison.
 
-    Comparison is exact; a warning flags nonzero gaps below 1e-12 where
-    the strict ordering is numerically fragile.
+    Comparison is exact; a NearTieWarning flags nonzero gaps below 1e-12
+    where the strict ordering is numerically fragile.
     """
     x = _require_line(fw)
     inc, dec = [], []
     for u, w in fw.graph.arcs:
         gap = x[w] - x[u]
         if abs(gap) < NEAR_TIE:
-            warnings.warn(
-                f"arc ({u}, {w}) orders positions by a gap of {gap:.3e}; "
-                "the strict ordering may not be meaningful",
-                stacklevel=2,
-            )
+            warnings.warn(NearTieWarning((u, w), gap), stacklevel=2)
         (inc if gap > 0 else dec).append((u, w))
     return ArcSplit(tuple(inc), tuple(dec))
 

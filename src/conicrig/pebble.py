@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .graphs import EuclideanGraph, Pair, normalize_edge
-from .rigidity import s_euclidean
+from .graphs import Pair, normalize_edge
 
 
 @dataclass
@@ -107,18 +106,3 @@ class PebbleState:
                     reach.add(y)
                     stack.append(y)
         return tuple(sorted(e for e in self.accepted if e[0] in reach and e[1] in reach))
-
-
-def laman_rank(g: EuclideanGraph) -> int:
-    """Rank of the edge set in the planar generic rigidity matroid."""
-    state = PebbleState(g.n)
-    return state.insert_all(g.edges)
-
-
-def laman_independent(g: EuclideanGraph) -> bool:
-    return laman_rank(g) == g.m
-
-
-def laman_rigid(g: EuclideanGraph) -> bool:
-    """Generic planar rigidity: rank reaches s_euclidean(n, 2)."""
-    return laman_rank(g) == s_euclidean(g.n, 2)

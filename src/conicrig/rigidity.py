@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .frameworks import Configuration, ConicFramework
-from .graphs import DirectedGraph, Pair, incidence_transpose
+from .graphs import Pair
 
 
 # relative SVD cutoff of every numeric rank decision
@@ -62,20 +62,18 @@ def euclidean_rigidity_matrix(pairs: Sequence[Pair], p: Configuration) -> np.nda
     return m
 
 
-def bias_matrix(dg: DirectedGraph, p: Configuration) -> np.ndarray:
-    """Bias columns: the arc-distance diagonal times the signed incidence."""
-    u, w = _ends(dg.arcs)
-    diff = p.positions[u] - p.positions[w]
+def conic_rigidity_matrix(fw: ConicFramework) -> np.ndarray:
+    """Full constraint matrix [spatial blocks | bias columns]."""
+    u, w = _ends(fw.graph.arcs)
+    diff = fw.config.positions[u] - fw.config.positions[w]
     # row-wise diff . diff through the dot kernel np.linalg.norm uses on one
     # vector, so each distance is the per-arc norm to the last bit
     dists = np.sqrt((diff[:, None, :] @ diff[:, :, None]).reshape(-1))
-    return dists[:, None] * incidence_transpose(dg)
-
-
-def conic_rigidity_matrix(fw: ConicFramework) -> np.ndarray:
-    """Full constraint matrix [spatial blocks | bias columns]."""
-    me = euclidean_rigidity_matrix(fw.graph.arcs, fw.config)
-    return np.hstack([me, bias_matrix(fw.graph, fw.config)])
+    rows = np.arange(fw.graph.m)
+    bias = np.zeros((fw.graph.m, fw.n))
+    bias[rows, u] = -dists
+    bias[rows, w] = dists
+    return np.hstack([euclidean_rigidity_matrix(fw.graph.arcs, fw.config), bias])
 
 
 def numeric_rank(m: np.ndarray) -> RankReport:
@@ -106,10 +104,9 @@ def numeric_rank(m: np.ndarray) -> RankReport:
     )
 
 
-def _orthonormal_columns(
-    gen: np.ndarray, rel_tol: float = 1e-12, abs_tol: float = 0.0
-) -> np.ndarray:
-    """Orthonormal basis of the column span, by SVD.
+def _orthonormal_columns(gen: np.ndarray, abs_tol: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the column span, by SVD, cut at
+    1e-12 * sigma_max * max(rows, cols).
 
     abs_tol additionally drops directions whose singular value is small
     in absolute terms, which matters when gen is residual noise.
@@ -119,7 +116,7 @@ def _orthonormal_columns(
     u, s, _ = np.linalg.svd(gen, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return gen[:, :0]
-    keep = (s > rel_tol * s[0] * max(gen.shape)) & (s > abs_tol)
+    keep = (s > 1e-12 * s[0] * max(gen.shape)) & (s > abs_tol)
     return u[:, : int(np.sum(keep))]
 
 

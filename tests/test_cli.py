@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +168,30 @@ def test_check_one_dimensional_files(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "decreasing shadow components: 2" in out
     assert "constraint residual of the flex: 0.000e+00" in out
+
+
+def test_near_ties_are_logged_by_file_id(tmp_path):
+    # a and b lie 1e-13 apart; the exact test and the flex witness both split
+    # the arcs, and the tie is reported once, through the CLI logger
+    data = {
+        "dimension": 1,
+        "vertices": [
+            {"id": "a", "position": [0.0]},
+            {"id": "b", "position": [1e-13]},
+            {"id": "c", "position": [1.0]},
+        ],
+        "arcs": [["a", "b"], ["b", "c"]],
+    }
+    path = dump(tmp_path, "tie.json", data)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, CONIC_RIGIDITY_LOG="warn")
+    done = subprocess.run([sys.executable, "-m", "conicrig.cli", "check", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "verdict: flexible" in done.stdout
+    assert "UserWarning" not in done.stderr
+    assert done.stderr.count("WARNING conicrig.cli: arc ['a', 'b'] orders positions") == 1
+    assert "(0, 1)" not in done.stderr
 
 
 def test_check_rejects_graph_files(tmp_path, capsys):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +11,6 @@ from conicrig.graphs import (
     adjacency,
     connected_components,
     find_cycle,
-    incidence_transpose,
     normalize_edge,
 )
 from oracles import count_components
@@ -106,13 +104,3 @@ def test_find_cycle_contract(g):
         degree[u] = degree.get(u, 0) + 1
         degree[w] = degree.get(w, 0) + 1
     assert all(v == 2 for v in degree.values())
-
-
-def test_incidence_transpose_signs():
-    dg = DirectedGraph(3, [(0, 2), (2, 1)])
-    b = incidence_transpose(dg)
-    assert b.shape == (2, 3)
-    assert b[0].tolist() == [-1.0, 0.0, 1.0]
-    assert b[1].tolist() == [0.0, 1.0, -1.0]
-    # every row sums to zero by construction
-    assert np.allclose(b.sum(axis=1), 0.0)

@@ -14,6 +14,7 @@ from conicrig import (
     s_conic,
     split_arcs,
 )
+from conicrig.onedim import NearTieWarning
 from golden import (
     QUAD_FLEX_COORDS,
     QUAD_FLEX_MINUS_COMPONENTS,
@@ -56,8 +57,11 @@ def test_split_rejects_higher_dimensions():
 
 def test_near_tie_warns():
     fw = line_framework([0.0, 1e-13], [(0, 1)])
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match=r"arc \(0, 1\) orders positions") as caught:
         split_arcs(fw)
+    (tie,) = [w.message for w in caught]
+    assert isinstance(tie, NearTieWarning)
+    assert tie.arc == (0, 1) and tie.gap == 1e-13
 
 
 def test_quad_fixture_two_placements():

@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 from conicrig import (
     EuclideanGraph,
     euclidean_rigidity_matrix,
-    laman_independent,
-    laman_rank,
-    laman_rigid,
     numeric_rank,
     random_generic_configuration,
     s_euclidean,
@@ -35,39 +32,35 @@ def complete_graph(n):
 
 def test_small_exact_values():
     triangle = EuclideanGraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert laman_rank(triangle) == 3
-    assert laman_rigid(triangle)
+    assert PebbleState(3).insert_all(triangle.edges) == 3 == s_euclidean(3, 2)
 
+    # rigid, and one of the six edges is redundant
     k4 = complete_graph(4)
-    assert laman_rank(k4) == 5  # one of the six edges is redundant
-    assert laman_rigid(k4)
-    assert not laman_independent(k4)
+    assert PebbleState(4).insert_all(k4.edges) == 5 == s_euclidean(4, 2) < k4.m
 
     path = EuclideanGraph(4, [(0, 1), (1, 2), (2, 3)])
-    assert laman_rank(path) == 3
-    assert not laman_rigid(path)
+    assert PebbleState(4).insert_all(path.edges) == 3 < s_euclidean(4, 2)
 
+    # independent but not rigid
     square = EuclideanGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert laman_independent(square)
-    assert not laman_rigid(square)
+    assert PebbleState(4).insert_all(square.edges) == square.m < s_euclidean(4, 2)
 
 
 def test_family_fixtures():
-    assert laman_rigid(G1) and laman_independent(G1)
-    assert laman_rigid(G2) and laman_independent(G2)
+    for g in (G1, G2):  # rigid and independent
+        assert PebbleState(g.n).insert_all(g.edges) == g.m == s_euclidean(g.n, 2)
     # G3 contains K4 on {0,1,2,3}: dependent, and one short of full rank
-    assert not laman_independent(G3)
-    assert laman_rank(G3) == 6
-    assert not laman_rigid(G3)
+    assert PebbleState(G3.n).insert_all(G3.edges) == 6 == s_euclidean(G3.n, 2) - 1 < G3.m
     full = EuclideanGraph(5, GAMMA5.all_pairs())
-    assert laman_rank(full) == s_euclidean(5, 2) == 7
+    assert PebbleState(5).insert_all(full.edges) == s_euclidean(5, 2) == 7
 
 
 @given(edge_lists())
 @settings(max_examples=120)
 def test_rank_matches_exhaustive_counting(g):
-    assert laman_rank(g) == sparsity_rank(g.n, g.edges)
-    assert laman_independent(g) == sparsity_independent(g.n, g.edges)
+    rank = PebbleState(g.n).insert_all(g.edges)
+    assert rank == sparsity_rank(g.n, g.edges)
+    assert (rank == g.m) == sparsity_independent(g.n, g.edges)
 
 
 @given(edge_lists(max_n=7))
@@ -80,13 +73,13 @@ def test_rank_matches_generic_numeric_rank(g):
         ).rank
         for s in range(42, 47)
     )
-    assert laman_rank(g) == numeric
+    assert PebbleState(g.n).insert_all(g.edges) == numeric
 
 
 def test_insertion_order_does_not_change_rank():
     rng = np.random.default_rng(77)
     edges = list(complete_graph(6).edges)
-    baseline = laman_rank(EuclideanGraph(6, edges))
+    baseline = PebbleState(6).insert_all(edges)
     for _ in range(20):
         rng.shuffle(edges)
         state = PebbleState(6)

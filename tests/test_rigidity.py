@@ -24,7 +24,6 @@ from conicrig import (
 )
 from conicrig import cli, rigidity
 from conicrig.flexcurves import make_hyperbola_framework, make_pinned_framework
-from conicrig.rigidity import bias_matrix
 from oracles import exact_rank
 
 
@@ -50,8 +49,6 @@ def test_matrix_entries_by_hand():
     )
     me = euclidean_rigidity_matrix(fw.graph.arcs, fw.config)
     assert me.tolist() == [[-3.0, -4.0, 3.0, 4.0]]
-    b = bias_matrix(fw.graph, fw.config)
-    assert b.tolist() == [[-5.0, 5.0]]
     m = conic_rigidity_matrix(fw)
     assert m.tolist() == [[-3.0, -4.0, 3.0, 4.0, -5.0, 5.0]]
 
@@ -182,7 +179,6 @@ def test_matrices_match_the_per_arc_loop(d):
     arcs = picked + [(w, u) for u, w in picked[:5] if (w, u) not in picked]
     for dg in (DirectedGraph(n, arcs), DirectedGraph(n, [])):
         spatial, bias = _loop_matrices(dg.arcs, p)
-        assert np.array_equal(bias_matrix(dg, p), bias)
         assert np.array_equal(euclidean_rigidity_matrix(dg.arcs, p), spatial)
         assert np.array_equal(conic_rigidity_matrix(ConicFramework(dg, p)),
                               np.hstack([spatial, bias]))

@@ -63,3 +63,14 @@ def test_output_digest_is_a_function_of_workload_and_seed():
     assert runs[1].stdout.splitlines() == lines
     assert len(lines) == 51  # one per input of a decompose-plane cycle
     assert all(re.fullmatch(r"c0-\S+\.json -?\d [0-9a-f]{16}", line) for line in lines)
+
+
+def test_reach_lists_the_functions_no_command_enters():
+    done = run_script("reach.py", "--workloads")  # the CLI commands alone
+    assert done.returncode == 0, done.stderr
+    unreached = done.stdout.splitlines()
+    assert "conicrig.matroid.swap" in unreached  # only the paper's tests call it
+    assert "conicrig.cli.cmd_compare" not in unreached
+    assert "conicrig.rigidity.conic_rigidity_matrix" not in unreached
+    assert unreached == sorted(unreached)
+    assert all(re.fullmatch(r"conicrig(\.[\w<>]+)+", name) for name in unreached)
