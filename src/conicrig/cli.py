@@ -50,6 +50,7 @@ from .flexcurves import (
 from .frameworks import (
     Configuration,
     ConicFramework,
+    _first_coincident_pair,
     arc_pseudo_ranges,
     conic_class,
     orient,
@@ -179,15 +180,12 @@ def parse_framework_file(data: dict) -> FrameworkFile:
         biases.append(_number(v.get("bias", 0.0), f"vertex {v['id']!r} bias"))
     index = _index_ids(ids)
     arcs = _lookup_pairs(data, "arcs", index)
-    placed: dict[tuple[float, ...], VertexId] = {}  # -0.0 and 0.0 share a key
-    for vid, x in zip(ids, positions):
-        if x in placed:
-            raise ValueError(f"coincident positions at vertices {placed[x]!r} and {vid!r}")
-        placed[x] = vid
-    fw = ConicFramework(
-        DirectedGraph(len(ids), arcs),
-        Configuration(np.array(positions), np.array(biases)),
-    )
+    pos = np.array(positions)
+    coincident = _first_coincident_pair(pos)
+    if coincident is not None:
+        u, w = coincident
+        raise ValueError(f"coincident positions at vertices {ids[u]!r} and {ids[w]!r}")
+    fw = ConicFramework(DirectedGraph(len(ids), arcs), Configuration(pos, np.array(biases)))
     return FrameworkFile(tuple(ids), fw)
 
 
@@ -302,16 +300,14 @@ def cmd_check(args) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", NearTieWarning)
             exact = is_rigid_1d(fw)
-            q = None if exact.rigid else flex_witness_1d(fw)
-        # one line per arc: the witness repeats the exact test's split
-        ties = {c.message.arc: c.message.gap for c in caught
-                if isinstance(c.message, NearTieWarning)}
-        for (u, w), gap in ties.items():
-            log.warning(
-                "arc %r orders positions by a gap of %.3e; "
-                "the strict ordering may not be meaningful",
-                [ids[u], ids[w]], gap,
-            )
+        for c in caught:
+            if isinstance(c.message, NearTieWarning):
+                u, w = c.message.arc
+                log.warning(
+                    "arc %r orders positions by a gap of %.3e; "
+                    "the strict ordering may not be meaningful",
+                    [ids[u], ids[w]], c.message.gap,
+                )
         agree = exact.rigid == verdict.rigid
         print(f"increasing shadow components: {len(exact.plus_components)}")
         print(f"decreasing shadow components: {len(exact.minus_components)}")
@@ -322,7 +318,7 @@ def cmd_check(args) -> int:
         print(f"verdict: {'rigid' if exact.rigid else 'flexible'}")
         if exact.rigid:
             return 0
-        assert q is not None
+        q = flex_witness_1d(exact)
         residual = float(np.linalg.norm(verdict.matrix @ q))
         _print_flex(ids, q, n, 1)
         print(f"constraint residual of the flex: {residual:.3e}")
@@ -341,7 +337,7 @@ def cmd_check(args) -> int:
     print(f"verdict: {'rigid' if verdict.rigid else 'flexible'}")
     if verdict.rigid:
         return 0
-    q = nontrivial_flex(fw, verdict)
+    q = nontrivial_flex(verdict)
     if q is not None:
         _print_flex(ids, q, n, d)
     return 1

@@ -22,7 +22,8 @@ NEAR_TIE = 1e-12
 
 
 class NearTieWarning(UserWarning):
-    """An arc whose end positions differ by a nonzero gap below NEAR_TIE."""
+    """An arc whose end positions differ by a nonzero gap below NEAR_TIE
+    times the largest coordinate magnitude of the framework."""
 
     def __init__(self, arc: Pair, gap: float):
         super().__init__(
@@ -44,7 +45,6 @@ class ArcSplit:
 @dataclass(frozen=True)
 class OneDimVerdict:
     rigid: bool
-    split: ArcSplit
     plus_components: tuple[tuple[int, ...], ...]
     minus_components: tuple[tuple[int, ...], ...]
 
@@ -58,14 +58,16 @@ def _require_line(fw: ConicFramework) -> np.ndarray:
 def split_arcs(fw: ConicFramework) -> ArcSplit:
     """Partition arcs by exact coordinate comparison.
 
-    Comparison is exact; a NearTieWarning flags nonzero gaps below 1e-12
-    where the strict ordering is numerically fragile.
+    Comparison is exact; a NearTieWarning flags nonzero gaps below
+    NEAR_TIE times the largest |coordinate|, where the strict ordering is
+    numerically fragile.
     """
     x = _require_line(fw)
+    tie = NEAR_TIE * float(np.max(np.abs(x), initial=0.0))
     inc, dec = [], []
     for u, w in fw.graph.arcs:
         gap = x[w] - x[u]
-        if abs(gap) < NEAR_TIE:
+        if abs(gap) < tie:
             warnings.warn(NearTieWarning((u, w), gap), stacklevel=2)
         (inc if gap > 0 else dec).append((u, w))
     return ArcSplit(tuple(inc), tuple(dec))
@@ -83,14 +85,14 @@ def is_rigid_1d(fw: ConicFramework) -> OneDimVerdict:
     minus = connected_components(_shadow(n, split.decreasing))
     return OneDimVerdict(
         rigid=len(plus) == 1 and len(minus) == 1,
-        split=split,
         plus_components=tuple(tuple(c) for c in plus),
         minus_components=tuple(tuple(c) for c in minus),
     )
 
 
-def flex_witness_1d(fw: ConicFramework) -> Optional[np.ndarray]:
-    """A nontrivial admissible velocity (v_1..v_n, a_1..a_n), or None.
+def flex_witness_1d(verdict: OneDimVerdict) -> Optional[np.ndarray]:
+    """A nontrivial admissible velocity (v_1..v_n, a_1..a_n) of the
+    framework is_rigid_1d judged, or None when it is rigid.
 
     When the decreasing shadow graph is disconnected, one of its
     components moves with (v, a) = (1, -1); this keeps v + a = 0
@@ -98,10 +100,9 @@ def flex_witness_1d(fw: ConicFramework) -> Optional[np.ndarray]:
     cross, and decreasing arcs never cross the component boundary.
     Symmetrically for a disconnected increasing shadow with (1, +1).
     """
-    verdict = is_rigid_1d(fw)
     if verdict.rigid:
         return None
-    n = fw.n
+    n = sum(len(c) for c in verdict.plus_components)
     q = np.zeros(2 * n)
     if len(verdict.minus_components) > 1:
         side, a_sign = verdict.minus_components[0], -1.0

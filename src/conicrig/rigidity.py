@@ -180,24 +180,17 @@ def is_infinitesimally_rigid(fw: ConicFramework) -> RigidityVerdict:
     )
 
 
-def nontrivial_flex(
-    fw: ConicFramework, verdict: Optional[RigidityVerdict] = None
-) -> Optional[np.ndarray]:
+def nontrivial_flex(verdict: RigidityVerdict) -> Optional[np.ndarray]:
     """A unit admissible velocity orthogonal to the trivial space, or
     None when no such direction exists beyond tolerance.
 
-    The matrix, the trivial basis and the rank come from verdict,
-    is_infinitesimally_rigid's result for fw, which is computed here when
-    not given. A matrix with fewer rows than the required rank is short of
-    arcs, and its kernel is taken from one complete QR of its transpose:
-    the columns past the arc count span the complement of the row space,
-    orthogonal to every row whatever the numeric rank, and they outnumber
-    the trivial motions, so such a framework always has a flex. Any other
-    matrix takes a full SVD and keeps the right singular vectors past the
-    verdict's rank.
+    Reads the matrix, trivial basis and rank of verdict. A matrix with
+    fewer rows than the required rank takes its kernel from one complete
+    QR of its transpose: the columns past the arc count are orthogonal to
+    every row whatever the numeric rank, and outnumber the trivial
+    motions, so such a framework always has a flex. Any other matrix
+    keeps the right singular vectors past the rank from one full SVD.
     """
-    if verdict is None:
-        verdict = is_infinitesimally_rigid(fw)
     a, t = verdict.matrix, verdict.trivial_basis
     if a.shape[0] < verdict.required_rank:
         null = np.linalg.qr(a.T, mode="complete")[0][:, a.shape[0] :]

@@ -1,14 +1,28 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: exhaustive subset counting,
-exact rational elimination, plain union-find. Slow but transparently
-correct on small inputs, which is what an oracle needs to be.
+exact rational elimination, plain union-find, numeric ranks at
+placements of its own. Slow but transparently correct on small inputs,
+which is what an oracle needs to be.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+from conicrig import (
+    ConicFramework,
+    conic_rigidity_matrix,
+    numeric_rank,
+    orient,
+    random_generic_configuration,
+    s_conic,
+)
+
+# placements of generic_conic_rank, seeded _SEED, _SEED + 1, ...
+_TRIALS = 5
+_SEED = 1000
 
 
 def exact_rank(rows) -> int:
@@ -78,3 +92,22 @@ def sparsity_rank(n: int, edges) -> int:
         if sparsity_independent(n, picked + [e]):
             picked.append(e)
     return len(picked)
+
+
+def generic_conic_rank(cg, d: int) -> int:
+    """Largest numeric rank of the conic graph cg at _TRIALS placements,
+    stopping at the first that reaches min(s_conic(n, d), arc count).
+
+    The placements are not RigidityOracle's, which decompose already
+    cross-checks against, so a verdict compared with this rank can
+    disagree.
+    """
+    ceiling = min(s_conic(cg.n, d), cg.edge_count)
+    dg = orient(cg)
+    rank = 0
+    for seed in range(_SEED, _SEED + _TRIALS):
+        p = random_generic_configuration(cg.n, d, seed)
+        rank = max(rank, numeric_rank(conic_rigidity_matrix(ConicFramework(dg, p))).rank)
+        if rank == ceiling:
+            break
+    return rank

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conicrig import onedim
 from conicrig.cli import (
     FrameworkFile,
     framework_file_dict,
@@ -128,8 +129,14 @@ THREE_IDS = {"dimension": 2, "vertices": ["a", "b", "c"]}
         ("check", dict(PINNED_FILE, vertices=PINNED_FILE["vertices"][:2] + [
             {"id": "c", "position": [-0.0, 0.0]}, {"id": "d", "position": [0.0, -0.0]}]),
          "coincident positions at vertices 'a' and 'c'"),
+        # the first pair in index order, as Configuration names it
+        ("check", {"dimension": 2, "arcs": [], "vertices": [
+            {"id": v, "position": x} for v, x in
+            zip("abcde", ([0, 0], [5, 5], [2, 2], [2, 2], [5, 5]))]},
+         "coincident positions at vertices 'b' and 'e'"),
     ],
-    ids=["simple-and-double", "edge-self-loop", "arc-self-loop", "coincident"],
+    ids=["simple-and-double", "edge-self-loop", "arc-self-loop", "coincident",
+         "coincident-first-pair"],
 )
 def test_input_errors_name_the_file_ids(tmp_path, capsys, command, data, message):
     path = dump(tmp_path, "bad.json", data)
@@ -171,8 +178,7 @@ def test_check_one_dimensional_files(tmp_path, capsys):
 
 
 def test_near_ties_are_logged_by_file_id(tmp_path):
-    # a and b lie 1e-13 apart; the exact test and the flex witness both split
-    # the arcs, and the tie is reported once, through the CLI logger
+    # a and b lie 1e-13 apart; the tie is reported once, through the CLI logger
     data = {
         "dimension": 1,
         "vertices": [
@@ -192,6 +198,53 @@ def test_near_ties_are_logged_by_file_id(tmp_path):
     assert "UserWarning" not in done.stderr
     assert done.stderr.count("WARNING conicrig.cli: arc ['a', 'b'] orders positions") == 1
     assert "(0, 1)" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "positions, ties, cross_check",
+    [
+        # adjacent doubles at 1e6: below the numeric cutoff, so flagged
+        ([0.0, 1e6, float(np.nextafter(1e6, 2e6))], ["['b', 'c']", "['c', 'b']"],
+         "(DISAGREES with the exact test)"),
+        # every gap is as large as the coordinates themselves
+        ([0.0, 1e-13, 3e-13], [], "(agrees)"),
+    ],
+    ids=["large-coordinates", "small-coordinates"],
+)
+def test_near_ties_are_relative_to_the_coordinate_scale(
+    tmp_path, capsys, caplog, positions, ties, cross_check
+):
+    data = {
+        "dimension": 1,
+        "vertices": [{"id": v, "position": [x]} for v, x in zip("abc", positions)],
+        "arcs": [["a", "b"], ["b", "a"], ["b", "c"], ["c", "b"]],
+    }
+    path = dump(tmp_path, "scale.json", data)
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    assert f"numeric rank: {2 if ties else 4} / 4 {cross_check}" in out
+    logged = [r.getMessage() for r in caplog.records if "orders positions" in r.getMessage()]
+    assert [m.split(" orders")[0] for m in logged] == [f"arc {t}" for t in ties]
+
+
+def test_flexible_line_check_splits_its_arcs_once(tmp_path, monkeypatch):
+    # the flex witness reads the exact test's components
+    calls = {"split_arcs": 0, "connected_components": 0}
+
+    def counted(name):
+        real = getattr(onedim, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(onedim, name, wrapper)
+
+    counted("split_arcs")
+    counted("connected_components")
+    path = dump(tmp_path, "flex1d.json", quad_file(QUAD_FLEX_COORDS))
+    assert main(["check", path]) == 1
+    assert calls == {"split_arcs": 1, "connected_components": 2}
 
 
 def test_check_rejects_graph_files(tmp_path, capsys):

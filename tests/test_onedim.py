@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,12 +58,30 @@ def test_split_rejects_higher_dimensions():
 
 
 def test_near_tie_warns():
-    fw = line_framework([0.0, 1e-13], [(0, 1)])
+    # a gap of 1e-13 where the largest coordinate is 1
+    fw = line_framework([0.0, 1e-13, 1.0], [(0, 1), (1, 2)])
     with pytest.warns(UserWarning, match=r"arc \(0, 1\) orders positions") as caught:
         split_arcs(fw)
     (tie,) = [w.message for w in caught]
     assert isinstance(tie, NearTieWarning)
     assert tie.arc == (0, 1) and tie.gap == 1e-13
+
+
+def test_near_tie_is_relative_to_the_coordinate_scale():
+    # adjacent doubles at 1e6 are 1.16e-10 apart: a tie at that scale
+    big = np.nextafter(1e6, 2e6)
+    fw = line_framework([0.0, 1e6, big], [(0, 1), (1, 2)])
+    with pytest.warns(NearTieWarning) as caught:
+        split_arcs(fw)
+    assert [w.message.arc for w in caught] == [(1, 2)]
+    assert caught[0].message.gap == big - 1e6
+
+    # gaps of 1e-13 on coordinates of 1e-13 are the whole scale, not a tie
+    fw = line_framework([0.0, 1e-13, 3e-13], [(0, 1), (1, 2), (2, 0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        split = split_arcs(fw)
+    assert split.increasing == ((0, 1), (1, 2))
 
 
 def test_quad_fixture_two_placements():
@@ -72,15 +92,16 @@ def test_quad_fixture_two_placements():
     assert verdict.minus_components == QUAD_FLEX_MINUS_COMPONENTS
 
     rigid = quad_framework(QUAD_RIGID_COORDS)
-    assert is_rigid_1d(rigid).rigid
-    assert flex_witness_1d(rigid) is None
+    rigid_verdict = is_rigid_1d(rigid)
+    assert rigid_verdict.rigid
+    assert flex_witness_1d(rigid_verdict) is None
 
 
 def test_witness_is_exactly_in_the_kernel():
     # equal-magnitude velocity and bias rate cancel per arc in floating
     # point, not just approximately
     fw = quad_framework(QUAD_FLEX_COORDS)
-    q = flex_witness_1d(fw)
+    q = flex_witness_1d(is_rigid_1d(fw))
     assert q is not None
     residual = conic_rigidity_matrix(fw) @ q
     assert np.max(np.abs(residual)) == 0.0
@@ -88,7 +109,7 @@ def test_witness_is_exactly_in_the_kernel():
 
 def test_witness_moves_one_shadow_component():
     fw = quad_framework(QUAD_FLEX_COORDS)
-    q = flex_witness_1d(fw)
+    q = flex_witness_1d(is_rigid_1d(fw))
     moved = {u for u in range(4) if q[u] != 0.0}
     assert tuple(sorted(moved)) == QUAD_FLEX_MINUS_COMPONENTS[0]
     # velocity +1, bias rate -1 on the moved side
@@ -112,9 +133,10 @@ def test_witness_always_valid_when_flexible():
     checked = 0
     for _ in range(200):
         fw = random_line_framework(rng)
-        q = flex_witness_1d(fw)
+        verdict = is_rigid_1d(fw)
+        q = flex_witness_1d(verdict)
         if q is None:
-            assert is_rigid_1d(fw).rigid
+            assert verdict.rigid
             continue
         checked += 1
         residual = conic_rigidity_matrix(fw) @ q
