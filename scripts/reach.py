@@ -3,10 +3,11 @@
 Runs, in-process under the stdlib `trace` module (numpy, the standard
 library and perfbench are not traced): the first K cycles of each named
 benchmark workload, whose inputs `perfbench/workloads.generate` writes to a
-temporary directory; then `compare`, `flex-demo` of each kind and `random`,
-and `check` and `decompose --trace` on the file `random` wrote. Prints,
-sorted and one a line, every function defined under src/conicrig that no
-run entered, as module.qualname:
+temporary directory; then `random`, and `check` and `decompose --trace` on
+the file `random` wrote. The scripts are not run, so a function that only
+they or the tests call (`flexcurves`, behind `scripts/flex_demo.py`) is
+listed. Prints, sorted and one a line, every function defined under
+src/conicrig that no run entered, as module.qualname:
 
     python3 scripts/reach.py --workloads check-fleet decompose-plane --cycles 1
 
@@ -76,10 +77,6 @@ def commands(names: list[str], seed: int, cycles: int, workdir: Path) -> list[li
     ]
     framework = str(workdir / "random.json")
     return argvs + [
-        ["compare", "10"],
-        ["flex-demo", "hyperbola"],
-        ["flex-demo", "ellipse"],
-        ["flex-demo", "intersection"],
         ["random", "6", "14", "--out", framework],
         ["check", framework],
         ["decompose", framework, "--trace", str(workdir / "trace.json")],

@@ -4,8 +4,6 @@ Subcommands:
     check       rigidity of a framework file at its own configuration
     decompose   constructive rigidity of a conic graph (d >= 2)
     design      generate a minimally rigid conic graph
-    compare     one-way vs two-way arc counts
-    flex-demo   sample the reference flex curves / second placement
     random      emit a random framework file
 
 The rank cutoff and the random configurations of a conic rank are fixed
@@ -39,19 +37,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .decompose import decompose
-from .flexcurves import (
-    build_flex_curve,
-    locate_second_intersection,
-    make_ellipse_framework,
-    make_hyperbola_framework,
-    make_pinned_framework,
-    sample_flex,
-)
 from .frameworks import (
     Configuration,
     ConicFramework,
     _first_coincident_pair,
-    arc_pseudo_ranges,
     conic_class,
     orient,
     union,
@@ -64,7 +53,6 @@ from .rigidity import (
     nontrivial_flex,
     numeric_rank,  # not called here; perfbench/spans.py's test expects cli to bind it
     s_conic,
-    s_euclidean,
 )
 
 log = logging.getLogger("conicrig.cli")
@@ -434,83 +422,6 @@ def cmd_design(args) -> int:
     return 0
 
 
-# -- compare ------------------------------------------------------------------
-
-
-def cmd_compare(args) -> int:
-    n, d = args.n, args.d
-    if n < 2:
-        raise ValueError("need at least two agents")
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    se = s_euclidean(n, d)
-    s = s_conic(n, d)
-    two_way = 2 * se
-    print(f"agents: {n}  dimension: {d}")
-    print(f"one-way arcs for rigidity: {s}")
-    print(f"two-way arcs (both directions on a rigid graph): {two_way}")
-    print(f"saving at this size: {100.0 * (1.0 - s / two_way):.1f}%")
-    print(f"saving as the fleet grows: {100.0 * (1.0 - (d + 1) / (2.0 * d)):.1f}%")
-    return 0
-
-
-# -- flex-demo ----------------------------------------------------------------
-
-
-def _curve_drift(fw: ConicFramework, moving: int, samples) -> float:
-    """Largest pseudo-range deviation across the samples."""
-    base = arc_pseudo_ranges(fw)
-    worst = 0.0
-    for s in samples:
-        positions = fw.config.positions.copy()
-        biases = fw.config.biases.copy()
-        positions[moving] = s.position
-        biases[moving] = s.bias
-        moved = ConicFramework(fw.graph, Configuration(positions, biases))
-        worst = max(worst, float(np.max(np.abs(arc_pseudo_ranges(moved) - base))))
-    return worst
-
-
-def cmd_flex_demo(args) -> int:
-    report = sys.stdout if args.out is not None else sys.stderr
-
-    if args.kind == "intersection":
-        fw = make_pinned_framework()
-        found = locate_second_intersection(fw)
-        xm = fw.config.positions[3]
-        print(f"placement A: position ({xm[0]:g}, {xm[1]:g})  bias {fw.config.biases[3]:g}")
-        print(
-            f"placement B: position ({found.position[0]:.9g}, {found.position[1]:.9g})  "
-            f"bias {found.bias:.9g}"
-        )
-        residuals = "  ".join(f"{r:.2e}" for r in found.residuals)
-        print(f"constraint residuals at B: {residuals}")
-        if found.degenerate:
-            print("no second placement")
-        return 0
-
-    if args.kind == "hyperbola":
-        fw = make_hyperbola_framework()
-        span = 0.5
-    else:
-        fw = make_ellipse_framework()
-        span = np.pi
-    curve = build_flex_curve(fw)
-    samples = sample_flex(curve, args.samples, span=span)
-    drift = _curve_drift(fw, curve.moving, samples)
-    print(f"curve: {curve.kind}  constant: {curve.constant:g}", file=report)
-    print(f"samples: {len(samples)}  max pseudo-range drift: {drift:.3e}", file=report)
-
-    lines = ["t,x,y,beta"]
-    for s in samples:
-        row = (float(s.t), float(s.position[0]), float(s.position[1]), float(s.bias))
-        lines.append(",".join(repr(v) for v in row))
-    _write("\n".join(lines) + "\n", args.out)
-    if args.out is not None:
-        print(f"samples written to {args.out}", file=report)
-    return 0
-
-
 # -- random -------------------------------------------------------------------
 
 
@@ -577,17 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2, help="dimension (default 2)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_design)
-
-    p = sub.add_parser("compare", help="arc count comparison")
-    p.add_argument("n", type=int, help="number of agents")
-    p.add_argument("--d", type=int, default=2, help="dimension (default 2)")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("flex-demo", help="sample the reference flex curves")
-    p.add_argument("kind", choices=("hyperbola", "ellipse", "intersection"))
-    p.add_argument("--samples", type=int, default=100, help="sample count (default 100)")
-    p.add_argument("--out", default=None, help="CSV output file (default stdout)")
-    p.set_defaults(func=cmd_flex_demo)
 
     p = sub.add_parser("random", parents=[seed], help="emit a random framework file")
     p.add_argument("n", type=int, help="number of agents")

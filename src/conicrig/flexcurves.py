@@ -1,16 +1,16 @@
-"""Closed-form flexes of the small under-constrained frameworks.
+"""Closed-form placements of one agent on few arcs, the rest held fixed.
 
-Three agents with a double edge between two of them and one single arc
-from each to the third leave a one-parameter motion: the third agent
-slides along a conic with the fixed agents as foci. When both single
-arcs point the same way relative to the moving agent the bias cancels
-in the difference of distances (hyperbola branch); otherwise it
-cancels in the sum (ellipse). Adding a fourth agent with single arcs
-to a doubly-connected triangle pins it: each tie is a pseudo-range
-equation |x - x_v| = c_v + eps_v * beta, and subtracting the squared
-first tie from the other two leaves a line in (x, beta) on which the
-first tie is one quadratic. So there are at most two placements, the
-given one and possibly one more (Bancroft's algebraic GPS solution).
+Every arc at agent v keeps its pseudo-range exactly when v meets the tie
+|x_v - x_u| = c + eps * beta_v, u the arc's other agent. Squaring the
+ties and subtracting the first from the others leaves linear equations
+in z = (x_v, beta_v), on whose solutions the first tie is one quadratic
+(Bancroft, "An algebraic solution of the GPS equations", IEEE Trans.
+Aerospace and Electronic Systems 1985). With d + 1 ties the solutions
+form a line through the given placement, so v has at most one other
+placement. In the plane with two ties v slides along a conic with the
+ends of its ties as foci: when both arcs point the same way relative to
+v the bias cancels in the difference of distances (hyperbola branch);
+otherwise it cancels in the sum (ellipse).
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .frameworks import Configuration, ConicFramework, conic_class, pseudo_range
-from .graphs import DirectedGraph, Pair
+from .frameworks import Configuration, ConicFramework, pseudo_range
+from .graphs import DirectedGraph
 
 
 @dataclass(frozen=True, eq=False)
 class ConicCurveFlex:
-    """One-parameter flex curve of the 3-agent, 4-arc pattern."""
+    """One-parameter flex curve of an agent on two arcs in the plane."""
 
     kind: str  # "hyperbola" or "ellipse"
     constant: float  # r_a - r_b on the hyperbola, r_a + r_b on the ellipse
@@ -61,52 +61,47 @@ class FlexSample:
 
 @dataclass(frozen=True, eq=False)
 class SecondPlacement:
-    """Alternative placement of the fourth agent, with diagnostics."""
+    """Alternative placement of one agent, with diagnostics."""
 
     position: np.ndarray
     bias: float
-    residuals: tuple[float, float, float]
+    residuals: tuple[float, ...]  # one per tie
     solutions: tuple[np.ndarray, ...]  # the given placement, then the other if any
     degenerate: bool  # no other placement: a double root or a negative distance
 
 
-def _single_arc_pattern(fw: ConicFramework) -> tuple[int, int, int, Pair, Pair]:
-    """Locate the double pair (a, b), the moving agent m, and the two
-    single arcs of the 3-agent pattern; raise if the shape differs."""
-    if fw.n != 3 or fw.d != 2 or fw.graph.m != 4:
-        raise ValueError("expected 3 agents in the plane with 4 arcs")
-    arcs = set(fw.graph.arcs)
-    double = conic_class(fw.graph).double_edges
-    if len(double) != 1:
-        raise ValueError("expected exactly one double edge")
-    a, b = double[0]
-    (m,) = set(range(3)) - {a, b}
-    singles = arcs - {(a, b), (b, a)}
-    arc_a = [s for s in singles if a in s]
-    arc_b = [s for s in singles if b in s]
-    if len(arc_a) != 1 or len(arc_b) != 1:
-        raise ValueError("each fixed agent needs one single arc to the third")
-    return a, b, m, arc_a[0], arc_b[0]
+def _ties(fw: ConicFramework, v: int, count: int, what: str) -> list[tuple[int, float, float]]:
+    """(u, c, eps) for each arc at agent v, in arc order, u its other agent:
+    the arc keeps its pseudo-range exactly when |x_v - x_u| = c + eps * beta_v,
+    so eps = -1 when v receives it and +1 when v emits it. Raise unless v
+    is on the count arcs that what needs."""
+    ties = []
+    for e, r in fw.graph.arcs:
+        if v not in (e, r):
+            continue
+        rho = pseudo_range(fw.config.point(e), fw.config.point(r))
+        if r == v:
+            ties.append((e, rho + float(fw.config.biases[e]), -1.0))
+        else:
+            ties.append((r, rho - float(fw.config.biases[r]), 1.0))
+    if len(ties) != count:
+        raise ValueError(f"agent {v} is on {len(ties)} arcs; {what} needs {count}")
+    return ties
 
 
-def _tie(fw: ConicFramework, v: int, arc: Pair, m: int) -> tuple[float, float]:
-    """The arc between fixed agent v and moving agent m keeps its
-    pseudo-range exactly when |x_m - x_v| = c + eps * beta_m; return
-    (c, eps): eps = -1 when m receives the arc, +1 when it emits it."""
-    rho = pseudo_range(fw.config.point(arc[0]), fw.config.point(arc[1]))
-    beta_v = float(fw.config.biases[v])
-    return (rho + beta_v, -1.0) if arc[1] == m else (rho - beta_v, 1.0)
-
-
-def build_flex_curve(fw: ConicFramework) -> ConicCurveFlex:
-    """Classify and parametrize the flex curve of the 3-agent pattern."""
-    a, b, m, arc_a, arc_b = _single_arc_pattern(fw)
+def build_flex_curve(fw: ConicFramework, v: int) -> ConicCurveFlex:
+    """Classify and parametrize the flex curve of agent v, on two arcs in
+    the plane, with the rest held fixed."""
+    if fw.d != 2:
+        raise ValueError(f"a flex curve needs d = 2, not {fw.d}")
+    (a, c_a, eps_a), (b, _, eps_b) = _ties(fw, v, 2, "a flex curve")
+    if a == b:
+        raise ValueError(f"both arcs at agent {v} end at agent {a}")
     pos = fw.config.positions
-    xa, xb, xm = pos[a], pos[b], pos[m]
+    xa, xb, xm = pos[a], pos[b], pos[v]
     r_a = float(np.linalg.norm(xa - xm))
     r_b = float(np.linalg.norm(xb - xm))
-    c_a, eps_a = _tie(fw, a, arc_a, m)
-    same_side = eps_a == _tie(fw, b, arc_b, m)[1]
+    same_side = eps_a == eps_b
     kind = "hyperbola" if same_side else "ellipse"
     constant = r_a - r_b if same_side else r_a + r_b
 
@@ -143,7 +138,7 @@ def build_flex_curve(fw: ConicFramework) -> ConicCurveFlex:
         kind=kind,
         constant=constant,
         bias_fn=bias_fn,
-        moving=m,
+        moving=v,
         fixed=(a, b),
         base_t=base_t,
         center=center,
@@ -161,7 +156,7 @@ def build_flex_curve(fw: ConicFramework) -> ConicCurveFlex:
 
 def sample_flex(curve: ConicCurveFlex, k: int, span: float = 0.5) -> list[FlexSample]:
     """k samples across parameter range base_t +- span (k = 1 gives the
-    base point itself). Every sample preserves all four pseudo-ranges."""
+    base point itself). Every sample keeps the pseudo-ranges of both arcs."""
     if k < 1:
         raise ValueError("need at least one sample")
     offsets = [0.0] if k == 1 else list(np.linspace(-span, span, k))
@@ -173,64 +168,43 @@ def sample_flex(curve: ConicCurveFlex, k: int, span: float = 0.5) -> list[FlexSa
     return out
 
 
-# -- second placement of a fourth agent --------------------------------------
+# -- second placement of an agent on d + 1 arcs ------------------------------
 
 
-def _pinned_pattern(fw: ConicFramework) -> tuple[int, list[tuple[int, Pair]]]:
-    """Locate the fourth agent tied by three single arcs to a doubly
-    connected triangle; return (m, [(fixed agent, arc), ...])."""
-    if fw.n != 4 or fw.d != 2 or fw.graph.m != 9:
-        raise ValueError("expected 4 agents in the plane with 9 arcs")
-    arcs = set(fw.graph.arcs)
-    degree_double = {v: 0 for v in range(4)}
-    for u, w in conic_class(fw.graph).double_edges:
-        degree_double[u] += 1
-        degree_double[w] += 1
-    movers = [v for v, deg in degree_double.items() if deg == 0]
-    if len(movers) != 1 or any(degree_double[v] != 2 for v in range(4) if v != movers[0]):
-        raise ValueError("expected a doubly connected triangle plus one loose agent")
-    m = movers[0]
-    ties = []
-    for v in range(4):
-        if v == m:
-            continue
-        single = [a for a in ((v, m), (m, v)) if a in arcs]
-        if len(single) != 1:
-            raise ValueError(f"agent {v} needs exactly one arc to agent {m}")
-        ties.append((v, single[0]))
-    return m, ties
+def locate_second_intersection(fw: ConicFramework, v: int) -> SecondPlacement:
+    """Find the other placement of agent v, on d + 1 arcs, the rest fixed.
 
-
-def locate_second_intersection(fw: ConicFramework) -> SecondPlacement:
-    """Find the other placement of the pinned fourth agent.
-
-    Each tie reads |x - x_v| = c_v + eps_v * beta in z = (x, beta).
-    Subtracting the squared first tie from the other two leaves two
-    linear equations in z; their solutions form the line through the
-    given placement along the cross product k of their rows. On that
-    line the first tie is a quadratic in t with the root t = 0, the
-    given placement. Its other root is a placement when every distance
-    c_v + eps_v * beta it asks for is non-negative.
+    Each tie reads |x - x_u| = c_u + eps_u * beta in z = (x, beta).
+    Subtracting the squared first tie from the other d leaves d linear
+    equations in z; their solutions form the line through the given
+    placement along the cofactor vector k of their d x (d + 1) rows (the
+    cross product at d = 2). On that line the first tie is a quadratic in
+    t with the root t = 0, the given placement. Its other root is a
+    placement when every distance c_u + eps_u * beta it asks for is
+    non-negative.
     """
-    m, ties = _pinned_pattern(fw)
+    d = fw.d
+    ties = _ties(fw, v, d + 1, "a second placement")
     pos = fw.config.positions
-    xm, beta_m = pos[m].copy(), float(fw.config.biases[m])
-    anchors = [pos[v] for v, _ in ties]
-    models = [_tie(fw, v, arc, m) for v, arc in ties]
+    xm, beta_m = pos[v].copy(), float(fw.config.biases[v])
+    anchors = [pos[u] for u, _, _ in ties]
+    models = [(c, e) for _, c, e in ties]
     (c0, e0), x0 = models[0], anchors[0]
-    rows = [np.append(x - x0, c * e - c0 * e0) for x, (c, e) in zip(anchors[1:], models[1:])]
-    k = np.cross(rows[0], rows[1])
-    if np.linalg.norm(k) <= 1e-12 * np.linalg.norm(rows[0]) * np.linalg.norm(rows[1]):
-        raise ValueError("the ties do not pin the moving agent: parallel equations")
+    rows = np.array(
+        [np.append(x - x0, c * e - c0 * e0) for x, (c, e) in zip(anchors[1:], models[1:])]
+    )
+    k = np.array([(-1) ** j * np.linalg.det(np.delete(rows, j, axis=1)) for j in range(d + 1)])
+    if np.linalg.norm(k) <= 1e-12 * np.prod(np.linalg.norm(rows, axis=1)):
+        raise ValueError(f"the ties do not pin agent {v}: dependent equations")
 
     # |x - x0|^2 - (c0 + e0 * beta)^2 at z = (xm, beta_m) + t * k is t * (qa * t + qb)
     r0 = c0 + e0 * beta_m
-    qa = float(k[:2] @ k[:2] - k[2] ** 2)
-    qb = float(2.0 * ((xm - x0) @ k[:2] - r0 * e0 * k[2]))
+    qa = float(k[:d] @ k[:d] - k[d] ** 2)
+    qb = float(2.0 * ((xm - x0) @ k[:d] - r0 * e0 * k[d]))
     position, bias, solutions = xm, beta_m, (xm,)
     if qa != 0.0:
         t = -qb / qa
-        x, beta = xm + t * k[:2], beta_m + t * float(k[2])
+        x, beta = xm + t * k[:d], beta_m + t * float(k[d])
         moved = np.linalg.norm(x - xm) > 1e-9 * max(c + e * beta_m for c, e in models)
         if moved and all(c + e * beta >= 0.0 for c, e in models):
             position, bias, solutions = x, beta, (xm, x)
@@ -241,7 +215,7 @@ def locate_second_intersection(fw: ConicFramework) -> SecondPlacement:
     return SecondPlacement(
         position=position,
         bias=bias,
-        residuals=residuals,  # type: ignore[arg-type]
+        residuals=residuals,
         solutions=solutions,
         degenerate=len(solutions) == 1,
     )

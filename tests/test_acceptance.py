@@ -8,9 +8,6 @@ fixed seeds, so the whole module is deterministic.
 
 from __future__ import annotations
 
-import io
-from contextlib import redirect_stdout
-
 import numpy as np
 
 from conicrig import (
@@ -36,7 +33,6 @@ from conicrig import (
     swap,
     union,
 )
-from conicrig.cli import main as cli_main
 from conicrig.decompose import apply_swap_chain, select_swap_chain
 from conicrig.flexcurves import (
     build_flex_curve,
@@ -233,7 +229,7 @@ def test_09_flex_curves_preserve_measurements():
     ok = True
     for maker, span in ((make_hyperbola_framework, 0.5), (make_ellipse_framework, np.pi)):
         fw = maker()
-        curve = build_flex_curve(fw)
+        curve = build_flex_curve(fw, 2)
         samples = sample_flex(curve, 100, span=span)
         base = arc_pseudo_ranges(fw)
         for s in samples:
@@ -245,7 +241,7 @@ def test_09_flex_curves_preserve_measurements():
             ok = ok and float(np.max(np.abs(arc_pseudo_ranges(moved) - base))) <= 1e-9
     # along the hyperbola the bias falls as the anchor distance grows
     fw = make_hyperbola_framework()
-    curve = build_flex_curve(fw)
+    curve = build_flex_curve(fw, 2)
     by_distance = sorted(
         (float(np.linalg.norm(s.position - fw.config.positions[0])), s.bias)
         for s in sample_flex(curve, 100, span=0.5)
@@ -256,17 +252,15 @@ def test_09_flex_curves_preserve_measurements():
 
 
 def test_10_arc_count_comparison():
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        rc_a = cli_main(["compare", "4"])
-        rc_b = cli_main(["compare", "100", "--d", "3"])
-    out = buf.getvalue()
+    def saving(n, d):
+        return 100.0 * (1.0 - s_conic(n, d) / (2.0 * s_euclidean(n, d)))
+
     ok = (
-        rc_a == 0
-        and rc_b == 0
-        and "one-way arcs for rigidity: 8" in out
-        and "two-way arcs (both directions on a rigid graph): 10" in out
-        and "saving as the fleet grows: 25.0%" in out
-        and "saving as the fleet grows: 33.3%" in out
+        s_conic(4, 2) == 8
+        and 2 * s_euclidean(4, 2) == 10
+        and f"{saving(4, 2):.1f}%" == "20.0%"
+        and f"{saving(10**6, 2):.1f}%" == "25.0%"  # as the fleet grows
+        and s_conic(100, 3) == 393
+        and f"{saving(10**6, 3):.1f}%" == "33.3%"
     )
     report(10, "one-way vs two-way arc counts", ok)

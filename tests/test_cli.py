@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 from conicrig import onedim
 from conicrig.cli import (
     FrameworkFile,
+    build_parser,
     framework_file_dict,
     load_input_file,
     main,
@@ -314,48 +316,20 @@ def test_design_stdout_is_pure_json(capsys):
     assert "designed" in captured.err
 
 
-def test_compare_output(capsys):
-    assert main(["compare", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "one-way arcs for rigidity: 8" in out
-    assert "two-way arcs (both directions on a rigid graph): 10" in out
-    assert "saving at this size: 20.0%" in out
-    assert "saving as the fleet grows: 25.0%" in out
-
-    assert main(["compare", "100", "--d", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "one-way arcs for rigidity: 393" in out
-    assert "saving as the fleet grows: 33.3%" in out
-
-
-def test_flex_demo_writes_csv(tmp_path, capsys):
-    out_path = tmp_path / "hyp.csv"
-    assert main(["flex-demo", "hyperbola", "--out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "curve: hyperbola" in out
-    assert "max pseudo-range drift" in out
-    lines = out_path.read_text().strip().splitlines()
-    assert lines[0] == "t,x,y,beta"
-    assert len(lines) == 101
-    # all floats parse back
-    float_cells = [float(c) for line in lines[1:] for c in line.split(",")]
-    assert len(float_cells) == 100 * 4
-
-
-def test_flex_demo_stdout_when_no_file(capsys):
-    assert main(["flex-demo", "ellipse", "--samples", "7"]) == 0
-    captured = capsys.readouterr()
-    lines = captured.out.strip().splitlines()
-    assert lines[0] == "t,x,y,beta"
-    assert len(lines) == 8
-    assert "curve: ellipse" in captured.err
-
-
-def test_flex_demo_intersection(capsys):
-    assert main(["flex-demo", "intersection"]) == 0
-    out = capsys.readouterr().out
-    assert "placement A: position (2.5, 1.2)  bias 0.2" in out
-    assert "placement B:" in out
+def test_compare_output():
+    # the arc counts the removed `compare` printed, now from savings_table.py
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "savings_table.py"),
+         "--d", "2", "3", "--sizes", "4", "100"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert ["4", "8", "10", "20.00%"] in rows  # d = 2
+    assert ["100", "393", "588", "33.16%"] in rows  # d = 3
+    assert [row[-1] for row in rows if row[:1] == ["limit"]] == ["25.00%", "33.33%"]
 
 
 def test_random_is_deterministic(tmp_path, capsys):
@@ -374,8 +348,6 @@ def test_random_is_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["compare", "4", "--tol", "1e-9"],
-        ["flex-demo", "hyperbola", "--seeds", "3"],
         ["check", "FILE", "--seed", "1"],
         ["random", "4", "5", "--tol", "1e-9"],
         ["design", "6", "--tol", "1e-9"],
@@ -392,6 +364,17 @@ def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys, argv):
         main([path if a == "FILE" else a for a in argv])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_the_cli_offers_its_verdict_commands_alone(capsys):
+    # compare and flex-demo moved to scripts/savings_table.py and scripts/flex_demo.py
+    for argv in (["compare", "4"], ["flex-demo", "hyperbola"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["check", "decompose", "design", "random"]
 
 
 def test_a_seeded_design_decomposes_as_rigid(tmp_path, capsys):
@@ -538,5 +521,5 @@ def test_numeric_flags_out_of_range_are_usage_errors(tmp_path, capsys, argv, fla
 
 def test_log_level_env_is_validated(monkeypatch, capsys):
     monkeypatch.setenv("CONIC_RIGIDITY_LOG", "loud")
-    assert main(["compare", "4"]) == 2
+    assert main(["random", "4", "5"]) == 2
     assert "CONIC_RIGIDITY_LOG" in capsys.readouterr().err

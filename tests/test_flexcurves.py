@@ -46,7 +46,7 @@ def max_drift(fw, curve, samples):
 
 
 def test_hyperbola_classification():
-    curve = build_flex_curve(make_hyperbola_framework())
+    curve = build_flex_curve(make_hyperbola_framework(), 2)
     assert curve.kind == "hyperbola"
     assert curve.moving == 2 and curve.fixed == (0, 1)
     # distances from (1,2) to the foci (0,0) and (4,0)
@@ -57,7 +57,7 @@ def test_hyperbola_classification():
 
 
 def test_ellipse_classification():
-    curve = build_flex_curve(make_ellipse_framework())
+    curve = build_flex_curve(make_ellipse_framework(), 2)
     assert curve.kind == "ellipse"
     assert curve.constant == pytest.approx(SQRT5 + SQRT13)
     assert np.allclose(curve.point_at(curve.base_t), [1.0, 2.0], atol=1e-12)
@@ -65,13 +65,13 @@ def test_ellipse_classification():
 
 def test_samples_preserve_all_pseudo_ranges():
     fw = make_hyperbola_framework()
-    curve = build_flex_curve(fw)
+    curve = build_flex_curve(fw, 2)
     samples = sample_flex(curve, 100, span=0.5)
     assert len(samples) == 100
     assert max_drift(fw, curve, samples) <= 1e-9
 
     fw = make_ellipse_framework()
-    curve = build_flex_curve(fw)
+    curve = build_flex_curve(fw, 2)
     samples = sample_flex(curve, 100, span=np.pi)
     assert max_drift(fw, curve, samples) <= 1e-9
     # full parameter sweep closes the loop
@@ -79,7 +79,7 @@ def test_samples_preserve_all_pseudo_ranges():
 
 
 def test_single_sample_is_the_base_point():
-    curve = build_flex_curve(make_hyperbola_framework())
+    curve = build_flex_curve(make_hyperbola_framework(), 2)
     (only,) = sample_flex(curve, 1)
     assert only.t == curve.base_t
     assert np.allclose(only.position, [1.0, 2.0], atol=1e-12)
@@ -89,7 +89,7 @@ def test_single_sample_is_the_base_point():
 
 def test_hyperbola_bias_strictly_decreasing_in_anchor_distance():
     fw = make_hyperbola_framework()
-    curve = build_flex_curve(fw)
+    curve = build_flex_curve(fw, 2)
     samples = sample_flex(curve, 100, span=0.5)
     by_distance = sorted(
         (float(np.linalg.norm(s.position - fw.config.positions[0])), s.bias)
@@ -103,7 +103,7 @@ def test_hyperbola_bias_strictly_decreasing_in_anchor_distance():
 
 def test_curve_velocity_lies_in_the_matrix_kernel():
     for fw in (make_hyperbola_framework(), make_ellipse_framework()):
-        curve = build_flex_curve(fw)
+        curve = build_flex_curve(fw, 2)
         eps = 1e-6
         ahead = curve.point_at(curve.base_t + eps)
         behind = curve.point_at(curve.base_t - eps)
@@ -118,18 +118,23 @@ def test_curve_velocity_lies_in_the_matrix_kernel():
 
 def test_pattern_detection_rejects_other_shapes():
     fw = make_hyperbola_framework()
-    # add an arc: five arcs no longer match the pattern
+    # agent 2 is on d = 2 arcs: a curve, but no second placement
+    with pytest.raises(ValueError, match="agent 2 is on 2 arcs; a second placement needs 3"):
+        locate_second_intersection(fw, 2)
+    # one more arc gives it d + 1 = 3: a second placement, but no curve
     bigger = ConicFramework(
         DirectedGraph(3, list(fw.graph.arcs) + [(2, 0)]), fw.config
     )
-    with pytest.raises(ValueError):
-        build_flex_curve(bigger)
-    with pytest.raises(ValueError):
-        locate_second_intersection(fw)  # needs the four-agent pattern
+    with pytest.raises(ValueError, match="agent 2 is on 3 arcs; a flex curve needs 2"):
+        build_flex_curve(bigger, 2)
+    # two arcs, but both to agent 0: the foci coincide
+    to_one = ConicFramework(DirectedGraph(3, [(0, 1), (1, 0), (0, 2), (2, 0)]), fw.config)
+    with pytest.raises(ValueError, match="both arcs at agent 2 end at agent 0"):
+        build_flex_curve(to_one, 2)
 
 
 def test_second_placement_matches_frozen_values():
-    found = locate_second_intersection(make_pinned_framework())
+    found = locate_second_intersection(make_pinned_framework(), 3)
     assert not found.degenerate
     assert found.position[0] == pytest.approx(PINNED_SECOND_POSITION[0], abs=1e-9)
     assert found.position[1] == pytest.approx(PINNED_SECOND_POSITION[1], abs=1e-9)
@@ -140,7 +145,7 @@ def test_second_placement_matches_frozen_values():
 
 def test_second_placement_preserves_every_pseudo_range():
     fw = make_pinned_framework()
-    found = locate_second_intersection(fw)
+    found = locate_second_intersection(fw, 3)
     moved = moved_framework(fw, 3, found.position, found.bias)
     drift = np.abs(arc_pseudo_ranges(moved) - arc_pseudo_ranges(fw))
     assert float(np.max(drift)) <= 1e-8
@@ -157,8 +162,8 @@ def pinned(positions, biases, ties):
     )
 
 
-def pseudo_range_drift(fw, found):
-    moved = moved_framework(fw, 3, found.position, found.bias)
+def pseudo_range_drift(fw, found, v=3):
+    moved = moved_framework(fw, v, found.position, found.bias)
     return float(np.max(np.abs(arc_pseudo_ranges(moved) - arc_pseudo_ranges(fw))))
 
 
@@ -168,7 +173,7 @@ def test_second_placement_of_a_far_mover():
         (-0.157, 0.391, 0.005, 0.433),
         [(3, 0), (3, 1), (3, 2)],
     )
-    found = locate_second_intersection(fw)
+    found = locate_second_intersection(fw, 3)
     assert not found.degenerate
     assert found.position == pytest.approx([1.69262, 0.65034], abs=1e-5)
     assert found.bias == pytest.approx(-36.8092, abs=1e-4)
@@ -180,7 +185,7 @@ def test_a_root_asking_for_negative_distances_is_no_placement():
     # -4.28, where c_v + eps_v * bias < 0: no distance can match it
     fixture = make_pinned_framework()
     fw = pinned(fixture.config.positions, fixture.config.biases, [(3, 0), (3, 1), (3, 2)])
-    found = locate_second_intersection(fw)
+    found = locate_second_intersection(fw, 3)
     assert found.degenerate
     assert len(found.solutions) == 1
     assert np.array_equal(found.position, fw.config.positions[3])
@@ -192,7 +197,7 @@ def test_collinear_anchors_give_the_mirror_placement():
         (0.0, 0.3, -0.1, 0.2),
         [(0, 3), (3, 1), (2, 3)],
     )
-    found = locate_second_intersection(fw)
+    found = locate_second_intersection(fw, 3)
     assert not found.degenerate
     assert found.position == pytest.approx([1.5, -1.0], abs=1e-12)
     assert found.bias == pytest.approx(0.2, abs=1e-12)
@@ -206,7 +211,7 @@ def test_an_agent_on_the_anchors_line_is_its_own_mirror(mover):
         (0.0, 0.3, -0.1, 0.2),
         [(0, 3), (3, 1), (2, 3)],
     )
-    found = locate_second_intersection(fw)
+    found = locate_second_intersection(fw, 3)
     assert found.degenerate
     assert len(found.solutions) == 1
     assert max(found.residuals) <= 1e-12
@@ -221,7 +226,7 @@ def test_ties_that_do_not_pin_the_agent_are_refused():
         [(0, 3), (1, 3), (2, 3)],
     )
     with pytest.raises(ValueError, match="do not pin"):
-        locate_second_intersection(fw)
+        locate_second_intersection(fw, 3)
 
 
 coordinate = st.floats(-3.0, 3.0, allow_nan=False)
@@ -243,9 +248,38 @@ def test_every_placement_found_keeps_all_pseudo_ranges(anchors, mover, scale, bi
     assume(min(np.linalg.norm(positions[3] - positions[v]) for v in range(3)) > 0.1)
     ties = [(3, v) if out else (v, 3) for v, out in enumerate(emits)]
     fw = pinned(positions, biases, ties)
-    found = locate_second_intersection(fw)
+    found = locate_second_intersection(fw, 3)
     assert np.array_equal(found.solutions[0], positions[3])
     assert len(found.solutions) <= 2
     assert found.degenerate == (len(found.solutions) == 1)
     assert np.array_equal(found.position, found.solutions[-1])
     assert pseudo_range_drift(fw, found) <= 1e-9
+
+
+coordinate3 = st.tuples(coordinate, coordinate, coordinate)
+
+
+@settings(max_examples=60)
+@given(
+    anchors=st.tuples(coordinate3, coordinate3, coordinate3, coordinate3),
+    mover=coordinate3,
+    scale=st.sampled_from([0.2, 1.0, 10.0]),
+    biases=st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 5),
+    emits=st.tuples(*[st.booleans()] * 4),
+)
+def test_an_agent_in_space_on_four_arcs_has_at_most_two_placements(
+    anchors, mover, scale, biases, emits
+):
+    positions = np.vstack([anchors, np.multiply(mover, scale)])
+    assume(abs(np.linalg.det(positions[1:4] - positions[0])) > 0.1)  # a tetrahedron
+    assume(min(np.linalg.norm(positions[4] - positions[v]) for v in range(4)) > 0.1)
+    ties = [(4, v) if out else (v, 4) for v, out in enumerate(emits)]
+    fw = ConicFramework(
+        DirectedGraph(5, ties),
+        Configuration(positions, np.array(biases, dtype=float)),
+    )
+    found = locate_second_intersection(fw, 4)
+    assert np.array_equal(found.solutions[0], positions[4])
+    assert len(found.solutions) <= 2
+    assert np.array_equal(found.position, found.solutions[-1])
+    assert pseudo_range_drift(fw, found, v=4) <= 1e-9

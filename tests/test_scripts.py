@@ -29,6 +29,36 @@ def test_savings_table_prints_the_limit_rows():
     assert limits == ["25.00%", "33.33%"]  # d = 2, then d = 3
 
 
+def test_flex_demo_writes_csv(tmp_path):
+    out_path = tmp_path / "hyp.csv"
+    done = run_script("flex_demo.py", "hyperbola", "--out", str(out_path))
+    assert done.returncode == 0, done.stderr
+    assert "curve: hyperbola" in done.stdout
+    assert "max pseudo-range drift" in done.stdout
+    lines = out_path.read_text().strip().splitlines()
+    assert lines[0] == "t,x,y,beta"
+    assert len(lines) == 101
+    # all floats parse back
+    float_cells = [float(c) for line in lines[1:] for c in line.split(",")]
+    assert len(float_cells) == 100 * 4
+
+
+def test_flex_demo_stdout_when_no_file():
+    done = run_script("flex_demo.py", "ellipse", "--samples", "7")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.strip().splitlines()
+    assert lines[0] == "t,x,y,beta"
+    assert len(lines) == 8
+    assert "curve: ellipse" in done.stderr
+
+
+def test_flex_demo_intersection():
+    done = run_script("flex_demo.py", "intersection")
+    assert done.returncode == 0, done.stderr
+    assert "placement A: position (2.5, 1.2)  bias 0.2" in done.stdout
+    assert "placement B:" in done.stdout
+
+
 def test_verdict_agreement_counts_and_exit_status():
     done = run_script("verdict_agreement.py", "--trials", "30", "--max-n", "9")
     assert done.returncode in (0, 1), done.stderr
@@ -70,7 +100,7 @@ def test_reach_lists_the_functions_no_command_enters():
     assert done.returncode == 0, done.stderr
     unreached = done.stdout.splitlines()
     assert "conicrig.matroid.swap" in unreached  # only the paper's tests call it
-    assert "conicrig.cli.cmd_compare" not in unreached
+    assert "conicrig.cli.cmd_random" not in unreached
     assert "conicrig.rigidity.conic_rigidity_matrix" not in unreached
     assert unreached == sorted(unreached)
     assert all(re.fullmatch(r"conicrig(\.[\w<>]+)+", name) for name in unreached)
