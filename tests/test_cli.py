@@ -348,6 +348,8 @@ def test_random_is_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["check", "FILE", "--seeds", "3"],
+        ["random", "4", "5", "--trace", "t.json"],
         ["check", "FILE", "--seed", "1"],
         ["random", "4", "5", "--tol", "1e-9"],
         ["design", "6", "--tol", "1e-9"],
